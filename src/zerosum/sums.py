@@ -202,61 +202,42 @@ def has_zero_sum_of_size(seq: ZSequence, size: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fast engines for a single cyclic factor; residues as ints, sum sets as
-# bitmasks.  The exhaustive verifier leans on these.
+# packed cardinality-resolved subset sums over a single cyclic factor
+#
+# One int holds every (length, residue) pair at once: bit L*n + r is set
+# when some L entries sum to r mod n, so bit 0 (L = 0, r = 0) stands for
+# the empty subsequence and the empty sequence packs to 1.  Adding a
+# residue v rotates every n-bit block by v and moves it up one block.
 
 
-def cyclic_sigma_mask(n: int, values: tuple[int, ...] | list[int]) -> int:
-    """Bitmask of the nonempty subsequence sums of residues mod n."""
-    full = (1 << n) - 1
-    mask = 0
-    for v in values:
-        v %= n
-        if v:
-            mask = (mask | ((mask << v) | (mask >> (n - v))) | (1 << v)) & full
-        else:
-            mask |= 1
-    return mask
+def cyclic_rotation_masks(n: int, blocks: int) -> tuple[list[int], list[int]]:
+    """Per-residue masks for cyclic_add_residue over blocks 0..blocks-1.
+
+    lo[v] keeps the bits >= v of every n-bit block, hi[v] the bits < v.
+    The step never writes above block `blocks`, so a packed int stays
+    within its lowest (blocks + 1) * n bits: lengths past `blocks` are
+    cut off, and every length up to `blocks` is kept exactly.
+    """
+    ones = sum(1 << (b * n) for b in range(blocks))
+    lo = [((1 << n) - (1 << v)) * ones for v in range(n)]
+    hi = [((1 << v) - 1) * ones for v in range(n)]
+    return lo, hi
 
 
-def cyclic_min_zero_length(n: int, values: tuple[int, ...] | list[int]) -> int | None:
-    """Least size of a nonempty zero-sum subset of residues mod n."""
-    k = len(values)
-    full = (1 << n) - 1
-    by_len = [0] * (k + 1)
-    for v in values:
-        v %= n
-        for length in range(k, 1, -1):
-            prev = by_len[length - 1]
-            if prev:
-                if v:
-                    by_len[length] |= ((prev << v) | (prev >> (n - v))) & full
-                else:
-                    by_len[length] |= prev
-        by_len[1] |= 1 << v
-    for length in range(1, k + 1):
-        if by_len[length] & 1:
-            return length
-    return None
+def cyclic_add_residue(x: int, v: int, n: int, lo: list[int], hi: list[int]) -> int:
+    """Packed sums after appending the residue v (0 <= v < n)."""
+    return x | ((((x << v) & lo[v]) | ((x >> (n - v)) & hi[v])) << n)
 
 
 def cyclic_zero_sum_of_size(n: int, values: tuple[int, ...] | list[int], size: int) -> bool:
     """Exact-cardinality variant: a zero-sum subset of exactly `size` residues."""
     if size < 1 or size > len(values):
         return False
-    full = (1 << n) - 1
-    by_len = [0] * (size + 1)
+    lo, hi = cyclic_rotation_masks(n, size)
+    x = 1
     for v in values:
-        v %= n
-        for length in range(size, 1, -1):
-            prev = by_len[length - 1]
-            if prev:
-                if v:
-                    by_len[length] |= ((prev << v) | (prev >> (n - v))) & full
-                else:
-                    by_len[length] |= prev
-        by_len[1] |= 1 << v
-    return bool(by_len[size] & 1)
+        x = cyclic_add_residue(x, v % n, n, lo, hi)
+    return bool(x >> (size * n) & 1)
 
 
 # ---------------------------------------------------------------------------

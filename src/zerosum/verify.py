@@ -13,6 +13,17 @@ shard count.  When a cyclic group is involved, enumeration is reduced
 to one representative per unit orbit u*S (the checked statements are
 all invariant under that action) and instances_checked still counts the
 raw multisets covered, weighting each representative by its orbit size.
+
+The scans over Z_n (length n, and length 2n-1 for EGZ) walk the
+non-decreasing sequences depth first and carry the subset sums of the
+current prefix in one int, the layout of sums.cyclic_add_residue: bit
+L*n + r is set when some L entries of the prefix sum to r mod n, so
+block L (bits L*n .. L*n+n-1) is the set of sums of length L, and the
+empty prefix is 1.  Appending the residue v rotates every block by v
+(two shifts under per-residue masks built once per scan) and moves it
+up one block.  Blocks past n are never written: the minimal zero-sum
+length is the index of the lowest set bit among L*n, L = 1..n, and the
+EGZ statement reads bit n*n.
 """
 
 from __future__ import annotations
@@ -22,7 +33,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb, gcd
+from operator import itemgetter
 
 from . import sums
 from .errors import BudgetExceededError, UnsupportedSymmetryError
@@ -119,11 +132,12 @@ def _run_workers(worker, arg_list: list, shards: int) -> list:
         return list(pool.map(worker, arg_list))
 
 
-def _unit_perms(n: int) -> tuple[list[tuple[int, ...]], int]:
+def _unit_perms(n: int) -> tuple[list[itemgetter], int]:
     """Count-vector permutations for each nontrivial unit, plus phi(n).
 
     Multiplying a multiset by the unit u sends the count vector c to
-    c' with c'[i] = c[u^{-1} i mod n].
+    c' with c'[i] = c[u^{-1} i mod n]; each permutation is stored as an
+    itemgetter that builds the tuple c' from c.
     """
     us = units(n)
     perms = []
@@ -131,7 +145,7 @@ def _unit_perms(n: int) -> tuple[list[tuple[int, ...]], int]:
         if u % n == 1 % n:
             continue
         inv = pow(u, -1, n)
-        perms.append(tuple((inv * i) % n for i in range(n)))
+        perms.append(itemgetter(*((inv * i) % n for i in range(n))))
     return perms, len(us)
 
 
@@ -140,30 +154,63 @@ def _orbit_cover(counts: list[int], perms, phi: int) -> int | None:
 
     Sorted multisets compare lexicographically; on count vectors that
     means the first value with a differing count decides, and the larger
-    count wins (more copies of the smaller value).
+    count wins (more copies of the smaller value).  So an image count
+    tuple above counts rejects, and an equal one is a stabilizer.
     """
+    here = tuple(counts)
     stab = 1
     for perm in perms:
-        verdict = 0
-        for i, p in enumerate(perm):
-            a = counts[p]
-            b = counts[i]
-            if a != b:
-                verdict = -1 if a > b else 1
-                break
-        if verdict < 0:
+        image = perm(counts)
+        if image > here:
             return None
-        if verdict == 0:
+        if image == here:
             stab += 1
     return phi // stab
 
 
-def _leaf_min_zero_length(by_len: list[int], limit: int) -> int | None:
+@cache
+def _zero_column(n: int) -> int:
+    """Bits L*n for L = 1..n: a nonempty subsequence of length L sums to 0."""
+    return sum(1 << (length * n) for length in range(1, n + 1))
+
+
+def _leaf_min_zero_length(packed: int, n: int) -> int | None:
     # kept module-level so tests can fault-inject the scan path
-    for length in range(1, limit + 1):
-        if by_len[length] & 1:
-            return length
-    return None
+    zeros = packed & _zero_column(n)
+    if not zeros:
+        return None
+    return ((zeros & -zeros).bit_length() - 1) // n
+
+
+def _walk_packed(n: int, length: int, lo_hi: tuple[int, int], leaf) -> None:
+    """Call leaf(packed, combo, counts) on each non-decreasing sequence.
+
+    Covers every length-`length` sequence over Z_n whose first entry is
+    in [lo, hi), in lexicographic order.  combo is the sequence, counts
+    its count vector, and packed its subset sums in the layout of
+    sums.cyclic_add_residue, cut to lengths 0..n.  All three are only
+    valid during the call.
+    """
+    lo_mask, hi_mask = sums.cyclic_rotation_masks(n, n)
+    combo: list[int] = []
+    counts = [0] * n
+    last = length - 1
+
+    def rec(lo_v: int, hi_v: int, depth: int, x: int) -> None:
+        for v in range(lo_v, hi_v):
+            # sums.cyclic_add_residue inlined: a call per node would add
+            # about 15% to the walk
+            nx = x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n)
+            combo.append(v)
+            counts[v] += 1
+            if depth == last:
+                leaf(nx, combo, counts)
+            else:
+                rec(v, n, depth + 1, nx)
+            combo.pop()
+            counts[v] -= 1
+
+    rec(lo_hi[0], lo_hi[1], 0, 1)
 
 
 def _add_violation(bucket: dict, law: str, sequence, observed, expected) -> None:
@@ -215,13 +262,10 @@ def _scan_length_n(args: tuple) -> dict:
     """Verify every length-n multiset over Z_n with first entry in [lo, hi).
 
     For each instance the minimal zero-sum length m and the support size
-    are computed (cardinality-resolved subset-sum bitmasks), and all the
+    are computed (packed cardinality-resolved subset sums), and all the
     length-n statements are evaluated at once.
     """
     n, lo_hi, orbit = args
-    lo, hi = lo_hi
-    length = n
-    full = (1 << n) - 1
     perms, phi = _unit_perms(n) if orbit else ([], 1)
     allowed_s = {0, 1, n - 2, n - 1}
     out = {
@@ -236,12 +280,8 @@ def _scan_length_n(args: tuple) -> dict:
         "viol": _new_violation_bucket(),
     }
     viol = out["viol"]
-    combo: list[int] = []
 
-    def leaf(by_len: list[int]) -> None:
-        counts = [0] * n
-        for v in combo:
-            counts[v] += 1
+    def leaf(packed: int, combo: list[int], counts: list[int]) -> None:
         if orbit:
             cover = _orbit_cover(counts, perms, phi)
             if cover is None:
@@ -251,7 +291,7 @@ def _scan_length_n(args: tuple) -> dict:
         out["instances"] += cover
         out["canonical"] += 1
         supp = len(set(combo))
-        m = _leaf_min_zero_length(by_len, length)
+        m = _leaf_min_zero_length(packed, n)
         if m is None:
             # no zero-sum subsequence at all; the short-bound law cannot hold
             _add_violation(viol, "short-zero-sum-bound", combo, "infinity", n - supp + 1)
@@ -296,35 +336,7 @@ def _scan_length_n(args: tuple) -> dict:
                         viol, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
                     )
 
-    def rec(lo_v: int, depth: int, by_len: list[int]) -> None:
-        if depth == length:
-            leaf(by_len)
-            return
-        cap = min(depth + 1, length)
-        for v in range(lo_v, n):
-            nb = by_len[:]
-            if v:
-                shift_r = n - v
-                for lng in range(cap, 1, -1):
-                    p = nb[lng - 1]
-                    if p:
-                        nb[lng] |= ((p << v) | (p >> shift_r)) & full
-            else:
-                for lng in range(cap, 1, -1):
-                    if nb[lng - 1]:
-                        nb[lng] |= nb[lng - 1]
-            nb[1] |= 1 << v
-            combo.append(v)
-            rec(v, depth + 1, nb)
-            combo.pop()
-
-    base = [0] * (length + 1)
-    for first in range(lo, hi):
-        nb = base[:]
-        nb[1] = 1 << first
-        combo.append(first)
-        rec(first, 1, nb)
-        combo.pop()
+    _walk_packed(n, n, lo_hi, leaf)
     return out
 
 
@@ -363,7 +375,7 @@ def clear_caches() -> None:
 
 
 def _length_n_bundle(n: int, orbit: bool, shards: int, budget: int | None) -> dict:
-    key = ("length-n", n, orbit, shards)
+    key = ("length-n", n, orbit)
     if key in _scan_cache:
         return _scan_cache[key]
     space = comb(2 * n - 1, n)
@@ -646,7 +658,7 @@ def verify_sumset_lemmas(
     if space > cap:
         raise BudgetExceededError(f"raw space {space} exceeds budget {cap}")
     t0 = time.perf_counter()
-    key = ("zero-sum-free", group.factors, k_max, orbit, shards)
+    key = ("zero-sum-free", group.factors, k_max, orbit)
     if key in _scan_cache:
         bundle = _scan_cache[key]
     else:
@@ -687,19 +699,15 @@ def verify_sumset_lemmas(
 
 
 def _scan_egz(args: tuple) -> dict:
+    """Check every length 2n-1 multiset over Z_n with first entry in
+    [lo, hi) for n entries summing to zero (bit n*n of the packed sums)."""
     n, lo_hi, orbit = args
-    lo, hi = lo_hi
-    length = 2 * n - 1
-    full = (1 << n) - 1
     perms, phi = _unit_perms(n) if orbit else ([], 1)
     out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
-    combo: list[int] = []
+    target = n * n
 
-    def leaf(by_len: list[int]) -> None:
+    def leaf(packed: int, combo: list[int], counts: list[int]) -> None:
         if orbit:
-            counts = [0] * n
-            for v in combo:
-                counts[v] += 1
             cover = _orbit_cover(counts, perms, phi)
             if cover is None:
                 return
@@ -707,38 +715,10 @@ def _scan_egz(args: tuple) -> dict:
             cover = 1
         out["instances"] += cover
         out["canonical"] += 1
-        if not by_len[n] & 1:
+        if not packed >> target & 1:
             _add_violation(out["viol"], "exact-n-zero-sum", combo, False, True)
 
-    def rec(lo_v: int, depth: int, by_len: list[int]) -> None:
-        if depth == length:
-            leaf(by_len)
-            return
-        cap = min(depth + 1, n)
-        for v in range(lo_v, n):
-            nb = by_len[:]
-            if v:
-                shift_r = n - v
-                for lng in range(cap, 1, -1):
-                    p = nb[lng - 1]
-                    if p:
-                        nb[lng] |= ((p << v) | (p >> shift_r)) & full
-            else:
-                for lng in range(cap, 1, -1):
-                    if nb[lng - 1]:
-                        nb[lng] |= nb[lng - 1]
-            nb[1] |= 1 << v
-            combo.append(v)
-            rec(v, depth + 1, nb)
-            combo.pop()
-
-    base = [0] * (n + 1)
-    for first in range(lo, hi):
-        nb = base[:]
-        nb[1] = 1 << first
-        combo.append(first)
-        rec(first, 1, nb)
-        combo.pop()
+    _walk_packed(n, 2 * n - 1, lo_hi, leaf)
     return out
 
 
@@ -759,7 +739,7 @@ def verify_egz(
     if space > cap:
         raise BudgetExceededError(f"raw space {space} exceeds budget {cap}")
     t0 = time.perf_counter()
-    key = ("egz", n, orbit, shards)
+    key = ("egz", n, orbit)
     if key in _scan_cache:
         bundle = _scan_cache[key]
     else:
@@ -849,7 +829,7 @@ def verify_davenport_table(
             f"davenport table capped at order {DAVENPORT_TABLE_CAP}, got {max_order}"
         )
     t0 = time.perf_counter()
-    key = ("davenport-table", max_order, shards)
+    key = ("davenport-table", max_order)
     if key in _scan_cache:
         bundle = _scan_cache[key]
     else:

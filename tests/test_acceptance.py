@@ -6,12 +6,13 @@ they pass; each criterion also carries its stated runtime budget.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
 from math import comb
 
-from conftest import brute_davenport, brute_mz, brute_sigma
+from conftest import brute_davenport, brute_mz, brute_sigma, burnside_orbit_count
 from zerosum import cli, quad, sums, verify
 from zerosum.groups import AbelianGroup, ZSequence, groups_of_order
 from zerosum.sums import INFINITY
@@ -248,3 +249,23 @@ def test_criterion_10_shard_determinism():
         f"verification JSON byte-identical across shard counts 1/4/8 "
         f"({len(docs[1])} bytes each)",
     )
+
+
+# sha256 of reports_to_json(verify_all(11, davenport_max_order=16),
+# include_elapsed=False) before the scans moved to packed subset sums;
+# a change here needs a stated reason, not a new digest
+BUNDLE11_SHA256 = "215a06addff47d5e1ec0eda0a77b99e8eb0ba37d9d3eca7c126ddfca82b8e0b7"
+
+
+def test_bundle11_json_matches_recorded_digest():
+    doc = verify.reports_to_json(_bundle11(1), include_elapsed=False)
+    assert hashlib.sha256(doc.encode()).hexdigest() == BUNDLE11_SHA256
+
+
+def test_canonical_instances_n11_match_burnside():
+    top = next(
+        r
+        for r in _bundle11(1)
+        if r.statement_id == "support-bound" and r.parameters["n"] == 11
+    )
+    assert top.details["canonical_instances"] == burnside_orbit_count(11) == 35300

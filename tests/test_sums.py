@@ -8,13 +8,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_davenport, brute_mz, brute_sigma
+from conftest import brute_davenport, brute_length_sums, brute_mz, brute_sigma, packed_pairs
 from zerosum.errors import BudgetExceededError
 from zerosum.groups import AbelianGroup, ZSequence, parse_sequence
 from zerosum.sums import (
+    DENSE_ORDER_CAP,
     INFINITY,
-    cyclic_min_zero_length,
-    cyclic_sigma_mask,
+    cyclic_add_residue,
+    cyclic_rotation_masks,
     cyclic_zero_sum_of_size,
     davenport,
     has_zero_sum_of_size,
@@ -31,6 +32,15 @@ Z6 = AbelianGroup((6,))
 
 def seq_of(n: int, values) -> ZSequence:
     return ZSequence.from_iterable(AbelianGroup((n,)), [(v,) for v in values])
+
+
+def packed_sums(n: int, values, blocks: int) -> int:
+    """Fold the packed step over values, keeping lengths 0..blocks."""
+    lo, hi = cyclic_rotation_masks(n, blocks)
+    x = 1
+    for v in values:
+        x = cyclic_add_residue(x, v % n, n, lo, hi)
+    return x
 
 
 # frozen worked examples
@@ -164,15 +174,49 @@ def test_zero_sum_free_iff_mz_infinite():
 def test_cyclic_helpers_agree_with_library():
     for n, values in FIXED_CASES:
         seq = seq_of(n, values)
-        mask = cyclic_sigma_mask(n, values)
-        ss = sumset(seq)
-        assert {v for v in range(n) if mask >> v & 1} == {v[0] for v in ss.values}
-        ml = cyclic_min_zero_length(n, values)
-        assert ml == (None if not mz(seq).is_finite else mz(seq).value)
-        for size in range(1, len(values) + 1):
-            assert cyclic_zero_sum_of_size(n, values, size) == has_zero_sum_of_size(
-                seq, size
-            )
+        k = len(values)
+        pairs = packed_pairs(n, packed_sums(n, values, k))
+        # least nonempty length per residue is exactly sumset's table
+        least: dict[int, int] = {}
+        for length, r in sorted(pairs):
+            if length:
+                least.setdefault(r, length)
+        assert {(r,): length for r, length in least.items()} == dict(sumset(seq).lengths)
+        assert least.get(0, INFINITY) == mz(seq).value
+        for size in range(1, k + 1):
+            expect = has_zero_sum_of_size(seq, size)
+            assert ((size, 0) in pairs) == expect
+            assert cyclic_zero_sum_of_size(n, values, size) == expect
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_packed_step_matches_subset_enumeration(data):
+    n = data.draw(st.integers(min_value=2, max_value=12))
+    # 0 and n-1 (the widest wrap-around) are drawn far more often
+    residue = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    values = data.draw(st.lists(residue, max_size=2 * n - 1))
+    k = len(values)
+    expect = brute_length_sums(n, values)
+    got = packed_sums(n, values, k)
+    assert got >> ((k + 1) * n) == 0
+    assert packed_pairs(n, got) == expect
+    # cut at n blocks, as the length 2n-1 scan keeps it: the bits of
+    # lengths 0..n survive unchanged and nothing lands above them
+    cut = packed_sums(n, values, n)
+    assert cut == got & ((1 << ((n + 1) * n)) - 1)
+    assert packed_pairs(n, cut) == {(L, r) for L, r in expect if L <= n}
+
+
+def test_dense_routines_refuse_order_above_cap():
+    group = AbelianGroup((DENSE_ORDER_CAP + 1,))
+    seq = ZSequence.from_iterable(group, [(1,), (2,)])
+    with pytest.raises(BudgetExceededError):
+        mz(seq)
+    with pytest.raises(BudgetExceededError):
+        sumset(seq)
+    with pytest.raises(BudgetExceededError):
+        has_zero_sum_of_size(seq, 2)
 
 
 @given(st.data())

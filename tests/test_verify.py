@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from conftest import brute_length_sums, burnside_orbit_count, packed_pairs
 from zerosum import verify
 from zerosum.errors import BudgetExceededError, UnsupportedSymmetryError
 from zerosum.groups import AbelianGroup
@@ -44,6 +45,50 @@ def test_instances_counted_in_raw_space_with_and_without_orbit():
     r5 = verify.verify_thm_main(5)
     assert r5.details["canonical_instances"] == 34
     assert r5.instances_checked == 126
+
+
+def test_canonical_instances_match_burnside():
+    for n, expect in ((6, 246), (9, 4114)):
+        r = verify.verify_thm_main(n)
+        assert r.details["canonical_instances"] == burnside_orbit_count(n) == expect
+
+
+def test_walk_packed_leaves_match_subset_enumeration():
+    # every leaf of both scan shapes, decoded and checked against brute force
+    for n, length in ((4, 4), (5, 5), (4, 7), (5, 9)):
+        seen = []
+
+        def leaf(packed, combo, counts):
+            assert counts == [combo.count(v) for v in range(n)]
+            want = {(L, r) for L, r in brute_length_sums(n, combo) if L <= n}
+            assert packed_pairs(n, packed) == want
+            seen.append(tuple(combo))
+
+        verify._walk_packed(n, length, (0, n), leaf)
+        assert seen == sorted(seen) and len(seen) == len(set(seen)) == comb(n + length - 1, length)
+        assert all(list(c) == sorted(c) for c in seen)
+
+
+def test_scan_cache_ignores_shard_count(monkeypatch):
+    calls = []
+    real = verify._run_workers
+
+    def counting(worker, arg_list, shards):
+        calls.append(worker.__name__)
+        return real(worker, arg_list, shards)
+
+    monkeypatch.setattr(verify, "_run_workers", counting)
+    runs = [
+        lambda shards: verify.verify_thm_main(6, shards=shards),
+        lambda shards: verify.verify_egz(4, shards=shards),
+        lambda shards: verify.verify_sumset_lemmas(AbelianGroup((6,)), 4, shards=shards),
+        lambda shards: verify.verify_davenport_table(6, shards=shards),
+    ]
+    for run in runs:
+        first = run(1).to_json(include_elapsed=False)
+        again = run(2).to_json(include_elapsed=False)
+        assert first == again
+    assert calls == ["_scan_length_n", "_scan_egz", "_scan_zero_sum_free", "_davenport_rows"]
 
 
 def test_full_length_constant_frozen_n6():
