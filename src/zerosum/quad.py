@@ -79,10 +79,6 @@ def norm(order: QuadOrder, alpha: Element) -> int:
     return x * x + order.omega_trace * x * y + order.omega_norm * y * y
 
 
-def elem_add(order: QuadOrder, a: Element, b: Element) -> Element:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def elem_mul(order: QuadOrder, a: Element, b: Element) -> Element:
     t, m = order.omega_trace, order.omega_norm
     x1, y1 = a
@@ -264,10 +260,6 @@ def ideal_pow(order: QuadOrder, ideal: QuadIdeal, exponent: int) -> QuadIdeal:
     for _ in range(exponent):
         out = ideal_mul(order, out, ideal)
     return out
-
-
-def ideal_norm(ideal: QuadIdeal) -> int:
-    return ideal.norm
 
 
 def ideal_contains(order: QuadOrder, ideal: QuadIdeal, alpha: Element) -> bool:
@@ -587,16 +579,20 @@ def is_principal(order: QuadOrder, ideal: QuadIdeal) -> Element | None:
 def is_irreducible(order: QuadOrder, alpha: Element) -> bool:
     """No factorization into two non-units.
 
-    beta | alpha forces N(beta) | N(alpha), so scanning elements whose
-    norm is a proper divisor of N(alpha) is exhaustive; any such divisor
-    with a non-unit cofactor refutes irreducibility.
+    beta | alpha forces N(beta) | N(alpha).  If alpha = beta*gamma with
+    both non-units, the factor of smaller norm has norm m with
+    2 <= m <= sqrt(N(alpha)), and its cofactor has norm N/m >= sqrt(N)
+    > 1, so it is a non-unit too.  Scanning the elements whose norm is a
+    divisor m of N(alpha) with 2 <= m <= sqrt(N(alpha)) is therefore
+    exhaustive, and any of them that divides alpha refutes
+    irreducibility.
     """
     n = norm(order, alpha)
     if n == 0:
         raise DomainError("zero is not factorable")
     if n == 1:
         raise DomainError("units are excluded from irreducibility")
-    for m in range(2, n):
+    for m in range(2, isqrt(n) + 1):
         if n % m:
             continue
         for beta in norm_solutions(order, m):

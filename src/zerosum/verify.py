@@ -6,13 +6,20 @@ counts, violations, and witnesses.  The expensive enumerations (all
 length-n multisets over Z_n) are run once per (n, options) and shared
 by the checkers that read different statements off the same pass.
 
-Instance spaces are cut into contiguous shards by first entry.  Workers
-are pure; shard results merge by summing counts and concatenating
-violation lists in shard order, so a report is byte-identical for every
-shard count.  When a cyclic group is involved, enumeration is reduced
-to one representative per unit orbit u*S (the checked statements are
-all invariant under that action) and instances_checked still counts the
-raw multisets covered, weighting each representative by its orbit size.
+A scan whose raw space (the count its budget check computes) is below
+POOL_MIN_INSTANCES runs in the calling process whatever `shards` says;
+only a larger scan is cut into `shards` contiguous pieces for a process
+pool.  The scans over Z_n cut the lexicographic ranks of their sequences
+into equal ranges (the walk unranks each range's first and last
+sequence); the zero-sum-free scan and the Davenport table cut on the
+first entry.  Workers are pure; shard results merge by summing counts
+and concatenating violation lists in rank order, so a report is
+byte-identical for every shard count.
+
+When a cyclic group is involved, enumeration is reduced to one
+representative per unit orbit u*S (the checked statements are all
+invariant under that action) and instances_checked still counts the raw
+multisets covered, weighting each representative by its orbit size.
 
 The scans over Z_n (length n, and length 2n-1 for EGZ) walk the
 non-decreasing sequences depth first and carry the subset sums of the
@@ -31,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from math import comb, gcd
@@ -46,6 +52,15 @@ RAW_ENUMERATION_CAP = 10_000_000
 DAVENPORT_TABLE_CAP = 16
 VIOLATION_LIMIT = 100
 WITNESS_LIMIT = 100
+# Scans with a raw space below this run in the calling process whatever
+# `shards` says.  Measured on 2 CPUs (Python 3.11, fork start, a fresh
+# interpreter per run, medians of 7): a two-shard pool costs about 34 ms
+# up front (importing concurrent.futures, forking, shutdown and merge) and
+# saves about 0.85 us per raw instance of the length-n scan, which costs
+# 2.3-2.5 us per instance serially.  It breaks even near 40,000 instances:
+# verify_thm_main(9) (24,310) lost 13 ms with two shards, and
+# verify_thm_main(10) (92,378) gained 45 ms.
+POOL_MIN_INSTANCES = 50_000
 
 
 def _effective_budget(budget: int | None) -> int:
@@ -108,11 +123,17 @@ def reports_to_json(reports: list[VerificationReport], include_elapsed: bool = T
 # shared machinery
 
 
-def _split_range(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous chunks [lo, hi) for sharding; empty chunks dropped."""
+def _split_range(lo: int, hi: int, shards: int, space: int) -> list[tuple[int, int]]:
+    """Contiguous chunks [lo, hi), one per shard; empty chunks dropped.
+
+    space is the scan's raw instance count: below POOL_MIN_INSTANCES the
+    whole range is one chunk, which _run_workers runs in process.
+    """
     total = hi - lo
     if total <= 0:
         return []
+    if space < POOL_MIN_INSTANCES:
+        shards = 1
     shards = max(1, min(shards, total))
     q, r = divmod(total, shards)
     out = []
@@ -124,10 +145,15 @@ def _split_range(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_workers(worker, arg_list: list, shards: int) -> list:
-    if shards <= 1 or len(arg_list) <= 1:
+def _run_workers(worker, arg_list: list) -> list:
+    """worker over arg_list in order; a process pool only for 2+ chunks."""
+    if len(arg_list) <= 1:
         return [worker(a) for a in arg_list]
-    max_workers = min(len(arg_list), shards, os.cpu_count() or 1)
+    # imported here: it takes 15-30 ms to import, which `import zerosum`
+    # and every scan that stays in process would otherwise pay
+    from concurrent.futures import ProcessPoolExecutor
+
+    max_workers = min(len(arg_list), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(worker, arg_list))
 
@@ -182,15 +208,45 @@ def _leaf_min_zero_length(packed: int, n: int) -> int | None:
     return ((zeros & -zeros).bit_length() - 1) // n
 
 
-def _walk_packed(n: int, length: int, lo_hi: tuple[int, int], leaf) -> None:
+def _unrank(n: int, length: int, rank: int) -> list[int]:
+    """The non-decreasing length-`length` sequence over Z_n at `rank`.
+
+    Ranks count the C(n+length-1, length) sequences in lexicographic
+    order, by the combinatorial number system (Knuth, TAOCP 4A,
+    7.2.1.3): C(n-v-1+rest, rest) sequences continue a prefix with the
+    entry v when `rest` entries follow it.
+    """
+    if not 0 <= rank < comb(n + length - 1, length):
+        raise ValueError(f"rank {rank} out of range for length {length} over Z_{n}")
+    out = []
+    v = 0
+    for rest in range(length - 1, -1, -1):
+        while rank >= (block := comb(n - v - 1 + rest, rest)):
+            rank -= block
+            v += 1
+        out.append(v)
+    return out
+
+
+def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf) -> None:
     """Call leaf(packed, combo, counts) on each non-decreasing sequence.
 
-    Covers every length-`length` sequence over Z_n whose first entry is
-    in [lo, hi), in lexicographic order.  combo is the sequence, counts
-    its count vector, and packed its subset sums in the layout of
-    sums.cyclic_add_residue, cut to lengths 0..n.  All three are only
-    valid during the call.
+    Covers the length-`length` sequences over Z_n whose rank (see
+    _unrank) is in [start, stop), in lexicographic order.  combo is the
+    sequence, counts its count vector, and packed its subset sums in the
+    layout of sums.cyclic_add_residue, cut to lengths 0..n.  All three
+    are only valid during the call.
+
+    Only the nodes on the paths to the range's first and last sequence
+    check bounds (`edge`); every subtree between those paths is complete
+    and goes to `rec`, which checks none, so the bounds cost O(n*length)
+    steps per range and nothing per leaf.
     """
+    start, stop = ranks
+    if start >= stop:
+        return
+    first = _unrank(n, length, start)
+    final = _unrank(n, length, stop - 1)
     lo_mask, hi_mask = sums.cyclic_rotation_masks(n, n)
     combo: list[int] = []
     counts = [0] * n
@@ -210,7 +266,26 @@ def _walk_packed(n: int, length: int, lo_hi: tuple[int, int], leaf) -> None:
             combo.pop()
             counts[v] -= 1
 
-    rec(lo_hi[0], lo_hi[1], 0, 1)
+    def edge(depth: int, x: int, left: bool, right: bool) -> None:
+        # combo equals first[:depth] when left, final[:depth] when right
+        lo_v = first[depth] if left else combo[-1]
+        hi_v = final[depth] if right else n - 1
+        if depth == last:
+            rec(lo_v, hi_v + 1, depth, x)
+            return
+        for v in range(lo_v, hi_v + 1):
+            on_left = left and v == lo_v
+            on_right = right and v == hi_v
+            if not (on_left or on_right):
+                rec(v, v + 1, depth, x)
+                continue
+            combo.append(v)
+            counts[v] += 1
+            edge(depth + 1, sums.cyclic_add_residue(x, v, n, lo_mask, hi_mask), on_left, on_right)
+            combo.pop()
+            counts[v] -= 1
+
+    edge(0, 1, True, True)
 
 
 def _add_violation(bucket: dict, law: str, sequence, observed, expected) -> None:
@@ -259,13 +334,13 @@ def _emit_violations(bucket: dict, laws: tuple[str, ...]) -> tuple[list[dict], i
 
 
 def _scan_length_n(args: tuple) -> dict:
-    """Verify every length-n multiset over Z_n with first entry in [lo, hi).
+    """Verify every length-n multiset over Z_n with rank in [start, stop).
 
     For each instance the minimal zero-sum length m and the support size
     are computed (packed cardinality-resolved subset sums), and all the
     length-n statements are evaluated at once.
     """
-    n, lo_hi, orbit = args
+    n, ranks, orbit = args
     perms, phi = _unit_perms(n) if orbit else ([], 1)
     allowed_s = {0, 1, n - 2, n - 1}
     out = {
@@ -336,7 +411,7 @@ def _scan_length_n(args: tuple) -> dict:
                         viol, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
                     )
 
-    _walk_packed(n, n, lo_hi, leaf)
+    _walk_packed(n, n, ranks, leaf)
     return out
 
 
@@ -382,8 +457,8 @@ def _length_n_bundle(n: int, orbit: bool, shards: int, budget: int | None) -> di
     cap = _effective_budget(budget)
     if space > cap:
         raise BudgetExceededError(f"raw space C({2*n-1},{n}) = {space} exceeds budget {cap}")
-    chunks = _split_range(0, n, shards)
-    bundles = _run_workers(_scan_length_n, [(n, c, orbit) for c in chunks], shards)
+    chunks = _split_range(0, space, shards, space)
+    bundles = _run_workers(_scan_length_n, [(n, c, orbit) for c in chunks])
     merged = _merge_length_n(bundles)
     # orbit sizes must account for the raw space exactly
     if merged["instances"] != space:
@@ -569,6 +644,7 @@ def _scan_zero_sum_free(args: tuple) -> dict:
     add = [
         [group.index_of(element_add(group, a, b)) for b in elements] for a in elements
     ]
+    neg = [row.index(0) for row in add]
     perms, phi = _unit_perms(order) if orbit else ([], 1)
     out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
     viol = out["viol"]
@@ -613,10 +689,11 @@ def _scan_zero_sum_free(args: tuple) -> dict:
     def rec(lo_i: int, sigma: set[int]) -> None:
         start = max(lo_i, 1)
         for gi in range(start, order):
+            # the child's sums gain zero exactly when -gi is a sum already
+            if neg[gi] in sigma:
+                continue
             grown = {add[w][gi] for w in sigma}
             grown.add(gi)
-            if 0 in grown:
-                continue
             grown |= sigma
             seq.append(gi)
             node(grown)
@@ -626,8 +703,6 @@ def _scan_zero_sum_free(args: tuple) -> dict:
 
     for first in range(max(lo, 1), hi):
         grown = {first}
-        if 0 in grown:
-            continue
         seq.append(first)
         node(grown)
         if k_max > 1:
@@ -662,11 +737,9 @@ def verify_sumset_lemmas(
     if key in _scan_cache:
         bundle = _scan_cache[key]
     else:
-        chunks = _split_range(1, order, shards)
+        chunks = _split_range(1, order, shards, space)
         bundles = _run_workers(
-            _scan_zero_sum_free,
-            [(group.factors, k_max, c, orbit) for c in chunks],
-            shards,
+            _scan_zero_sum_free, [(group.factors, k_max, c, orbit) for c in chunks]
         )
         bundle = {"instances": 0, "canonical": 0, "viol": _merge_violation_buckets([b["viol"] for b in bundles])}
         for b in bundles:
@@ -699,9 +772,9 @@ def verify_sumset_lemmas(
 
 
 def _scan_egz(args: tuple) -> dict:
-    """Check every length 2n-1 multiset over Z_n with first entry in
-    [lo, hi) for n entries summing to zero (bit n*n of the packed sums)."""
-    n, lo_hi, orbit = args
+    """Check every length 2n-1 multiset over Z_n with rank in [start, stop)
+    for n entries summing to zero (bit n*n of the packed sums)."""
+    n, ranks, orbit = args
     perms, phi = _unit_perms(n) if orbit else ([], 1)
     out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
     target = n * n
@@ -718,7 +791,7 @@ def _scan_egz(args: tuple) -> dict:
         if not packed >> target & 1:
             _add_violation(out["viol"], "exact-n-zero-sum", combo, False, True)
 
-    _walk_packed(n, 2 * n - 1, lo_hi, leaf)
+    _walk_packed(n, 2 * n - 1, ranks, leaf)
     return out
 
 
@@ -743,8 +816,8 @@ def verify_egz(
     if key in _scan_cache:
         bundle = _scan_cache[key]
     else:
-        chunks = _split_range(0, n, shards)
-        bundles = _run_workers(_scan_egz, [(n, c, orbit) for c in chunks], shards)
+        chunks = _split_range(0, space, shards, space)
+        bundles = _run_workers(_scan_egz, [(n, c, orbit) for c in chunks])
         bundle = {"instances": 0, "canonical": 0, "viol": _merge_violation_buckets([b["viol"] for b in bundles])}
         for b in bundles:
             bundle["instances"] += b["instances"]
@@ -833,8 +906,11 @@ def verify_davenport_table(
     if key in _scan_cache:
         bundle = _scan_cache[key]
     else:
-        chunks = _split_range(1, max_order + 1, shards)
-        results = _run_workers(_davenport_rows, [(c,) for c in chunks], shards)
+        # the table's budget quantity is max_order <= DAVENPORT_TABLE_CAP,
+        # far below POOL_MIN_INSTANCES: the order-16 table takes about
+        # 70 ms serially and took the same split over a two-worker pool
+        chunks = _split_range(1, max_order + 1, shards, max_order)
+        results = _run_workers(_davenport_rows, [(c,) for c in chunks])
         bundle = {
             "rows": [row for r in results for row in r["rows"]],
             "viol": _merge_violation_buckets([r["viol"] for r in results]),

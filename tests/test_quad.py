@@ -3,6 +3,8 @@ and composition, class groups, principality, irreducibility."""
 
 from __future__ import annotations
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -339,6 +341,42 @@ def test_irreducibility_frozen():
         quad.is_irreducible(O26, (-1, 0))
     with pytest.raises(DomainError):
         quad.is_irreducible(O26, (0, 0))
+
+
+def _brute_irreducible(d: int, alpha: tuple[int, int]) -> bool:
+    """Scan every beta whose norm is a proper divisor of N(alpha) >= 2.
+
+    Only for d = 1, 2 mod 4, where the order is Z[sqrt(-d)]: the norm is
+    x^2 + d*y^2, and beta | alpha when alpha * conj(beta) is divisible
+    by N(beta) in both coordinates.
+    """
+    a, b = alpha
+    n = a * a + d * b * b
+    for y in range(-isqrt(n // d), isqrt(n // d) + 1):
+        for x in range(-isqrt(n), isqrt(n) + 1):
+            m = x * x + d * y * y
+            if 2 <= m < n and n % m == 0 and (a * x + d * b * y) % m == 0 and (b * x - a * y) % m == 0:
+                return False
+    return True
+
+
+def test_irreducibility_matches_full_divisor_scan():
+    # is_irreducible stops at sqrt(N); the oracle tries every proper divisor
+    for d, order in ((26, O26), (5, O5)):
+        alphas = [
+            (x, y)
+            for x in range(-15, 16)
+            for y in range(-6, 7)
+            if 2 <= x * x + d * y * y <= 220
+        ]
+        squares = [al for al in alphas if isqrt(quad.norm(order, al)) ** 2 == quad.norm(order, al)]
+        assert squares
+        for alpha in alphas:
+            assert quad.is_irreducible(order, alpha) == _brute_irreducible(d, alpha), (d, alpha)
+    # N(9) = 81 and no element of Z[sqrt(-26)] has norm 3, so 9 = 3 * 3 is
+    # found only at m = sqrt(81), the last divisor the loop tries
+    assert not quad.is_irreducible(O26, (9, 0))
+    assert quad.is_irreducible(O26, (3, 0)) and quad.is_irreducible(O5, (3, 0))
 
 
 def test_short_principal_product_worked_example():

@@ -4,11 +4,16 @@ determinism across shard counts, and fault injection."""
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from itertools import combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from conftest import brute_length_sums, burnside_orbit_count, packed_pairs
+import zerosum
 from zerosum import verify
 from zerosum.errors import BudgetExceededError, UnsupportedSymmetryError
 from zerosum.groups import AbelianGroup
@@ -53,6 +58,16 @@ def test_canonical_instances_match_burnside():
         assert r.details["canonical_instances"] == burnside_orbit_count(n) == expect
 
 
+def test_unrank_matches_lexicographic_enumeration():
+    for n, length in ((1, 1), (2, 3), (3, 1), (4, 4), (5, 9), (6, 3)):
+        expect = list(combinations_with_replacement(range(n), length))
+        assert len(expect) == comb(n + length - 1, length)
+        assert [tuple(verify._unrank(n, length, r)) for r in range(len(expect))] == expect
+        for bad in (-1, len(expect)):
+            with pytest.raises(ValueError):
+                verify._unrank(n, length, bad)
+
+
 def test_walk_packed_leaves_match_subset_enumeration():
     # every leaf of both scan shapes, decoded and checked against brute force
     for n, length in ((4, 4), (5, 5), (4, 7), (5, 9)):
@@ -64,18 +79,43 @@ def test_walk_packed_leaves_match_subset_enumeration():
             assert packed_pairs(n, packed) == want
             seen.append(tuple(combo))
 
-        verify._walk_packed(n, length, (0, n), leaf)
-        assert seen == sorted(seen) and len(seen) == len(set(seen)) == comb(n + length - 1, length)
+        total = comb(n + length - 1, length)
+        verify._walk_packed(n, length, (0, total), leaf)
+        assert seen == sorted(seen) and len(seen) == len(set(seen)) == total
         assert all(list(c) == sorted(c) for c in seen)
+
+
+def _walk_leaves(n: int, length: int, ranks: tuple[int, int]) -> list:
+    out = []
+    verify._walk_packed(
+        n, length, ranks, lambda packed, combo, counts: out.append((tuple(combo), packed, tuple(counts)))
+    )
+    return out
+
+
+def test_walk_packed_rank_ranges_concatenate():
+    # split walks must replay the full walk exactly: same leaves in the
+    # same order, with the same packed sums and count vectors
+    for n, length in ((3, 1), (4, 4), (5, 5), (4, 7), (5, 9)):
+        total = comb(n + length - 1, length)
+        full = _walk_leaves(n, length, (0, total))
+        assert [leaf[0] for leaf in full] == list(combinations_with_replacement(range(n), length))
+        for k in (1, 2, 3, 7, total):
+            bounds = [total * i // k for i in range(k + 1)]
+            parts = [_walk_leaves(n, length, (a, b)) for a, b in zip(bounds, bounds[1:])]
+            assert [len(p) for p in parts] == [b - a for a, b in zip(bounds, bounds[1:])]
+            assert [leaf for p in parts for leaf in p] == full
+        for a, b in ((0, 0), (total, total), (1, total - 1), (total // 3, total // 2), (total - 1, total)):
+            assert _walk_leaves(n, length, (a, b)) == full[a:b]
 
 
 def test_scan_cache_ignores_shard_count(monkeypatch):
     calls = []
     real = verify._run_workers
 
-    def counting(worker, arg_list, shards):
+    def counting(worker, arg_list):
         calls.append(worker.__name__)
-        return real(worker, arg_list, shards)
+        return real(worker, arg_list)
 
     monkeypatch.setattr(verify, "_run_workers", counting)
     runs = [
@@ -89,6 +129,65 @@ def test_scan_cache_ignores_shard_count(monkeypatch):
         again = run(2).to_json(include_elapsed=False)
         assert first == again
     assert calls == ["_scan_length_n", "_scan_egz", "_scan_zero_sum_free", "_davenport_rows"]
+
+
+def test_pool_threshold_picks_chunks(monkeypatch):
+    chunks = {}
+    real = verify._run_workers
+
+    def recording(worker, arg_list):
+        # the range is the last argument but the orbit flag, or the only one
+        chunks.setdefault(worker.__name__, []).append([a[-2] if len(a) > 1 else a[0] for a in arg_list])
+        return real(worker, arg_list)
+
+    monkeypatch.setattr(verify, "_run_workers", recording)
+    # the default keeps every small scan in one chunk, whatever shards says
+    verify.verify_thm_main(9, shards=4)
+    verify.verify_egz(6, shards=4)
+    verify.verify_sumset_lemmas(AbelianGroup((8,)), shards=4)
+    verify.verify_davenport_table(16, shards=4)
+    assert chunks == {
+        "_scan_length_n": [[(0, comb(17, 9))]],
+        "_scan_egz": [[(0, comb(16, 5))]],
+        "_scan_zero_sum_free": [[(1, 8)]],
+        "_davenport_rows": [[(1, 17)]],
+    }
+    # from the threshold up, the cyclic scans get equal rank ranges and
+    # the zero-sum-free scan a first-entry split; Z8 with k_max = 6 has a
+    # raw space of 1,715, one below
+    verify.clear_caches()
+    chunks.clear()
+    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", comb(13, 7))
+    verify.verify_thm_main(7, shards=3)
+    verify.verify_thm_main(6, shards=3)
+    verify.verify_sumset_lemmas(AbelianGroup((8,)), 6, shards=3)
+    verify.verify_sumset_lemmas(AbelianGroup((9,)), 6, shards=3)
+    assert chunks == {
+        "_scan_length_n": [[(0, 572), (572, 1144), (1144, 1716)], [(0, 462)]],
+        "_scan_zero_sum_free": [[(1, 8)], [(1, 4), (4, 7), (7, 9)]],
+    }
+
+
+def test_import_and_small_scans_skip_pool_machinery():
+    # a fresh interpreter: importing zerosum, and CLI runs whose scans all
+    # stay in process, never load concurrent.futures; a pooled scan does
+    code = (
+        "import contextlib, io, sys\n"
+        "from zerosum import cli\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
+        "for argv in (['verify', 'all', '--n-max', '6', '--shards', '2'],\n"
+        "             ['verify', 'support-bound', '--n', '10', '--shards', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    loaded.append('concurrent.futures' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(zerosum.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, True]"
 
 
 def test_full_length_constant_frozen_n6():
@@ -202,7 +301,17 @@ def test_reports_serialize_to_canonical_json():
     assert len(combined["reports"]) == 1
 
 
-def test_shard_counts_agree_byte_for_byte():
+def test_shard_counts_agree_byte_for_byte(monkeypatch):
+    # threshold 0: these small scans still go through worker processes
+    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", 0)
+    pooled = []
+    real = verify._run_workers
+
+    def recording(worker, arg_list):
+        pooled.append(len(arg_list))
+        return real(worker, arg_list)
+
+    monkeypatch.setattr(verify, "_run_workers", recording)
     outs = []
     for shards in (1, 2, 4, 8):
         verify.clear_caches()
@@ -214,6 +323,8 @@ def test_shard_counts_agree_byte_for_byte():
         ]
         outs.append(verify.reports_to_json(reports, include_elapsed=False))
     assert outs[0] == outs[1] == outs[2] == outs[3]
+    # length-n, egz, zero-sum-free per shard count; Z8 has 7 first entries
+    assert pooled == [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8, 7]
 
 
 def test_orbit_toggle_does_not_change_findings():
