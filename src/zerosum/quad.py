@@ -121,12 +121,6 @@ def associates(order: QuadOrder, alpha: Element) -> tuple[Element, ...]:
     return tuple(elem_mul(order, u, alpha) for u in units_of(order))
 
 
-def canonical_associate(order: QuadOrder, alpha: Element) -> Element:
-    """Deterministic representative among unit multiples: prefer x > 0,
-    then y >= 0, then the largest coordinates."""
-    return max(associates(order, alpha), key=lambda e: (e[0] > 0, e[1] >= 0, e[0], e[1]))
-
-
 def format_element(order: QuadOrder, alpha: Element) -> str:
     x, y = alpha
     if order.omega_trace == 0:
@@ -687,13 +681,3 @@ def parse_ideal_list(order: QuadOrder, text: str) -> list[QuadIdeal]:
     if not items:
         raise ParseError("empty ideal list")
     return [parse_ideal(order, item) for item in items]
-
-
-def parse_quad_element(order: QuadOrder, text: str) -> Element:
-    parts = text.strip().split(",")
-    if len(parts) != 2:
-        raise ParseError(f"bad element {text!r}; expected 'x,y'")
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise ParseError(f"bad element {text!r}") from exc

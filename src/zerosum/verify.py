@@ -20,6 +20,16 @@ When a cyclic group is involved, enumeration is reduced to one
 representative per unit orbit u*S (the checked statements are all
 invariant under that action) and instances_checked still counts the raw
 multisets covered, weighting each representative by its orbit size.
+The representative is the sequence that sorts lowest in its orbit.  The
+scans over Z_n prune inside the walk (canonical augmentation, McKay,
+J. Algorithms 26, 1998): once a prefix has last value v, the counts of
+the values below v are final, and so is the image of their first k
+counts under a unit, up to the first index whose preimage reaches v.  A
+unit whose image of that part is larger cuts the whole subtree; a unit
+whose image is smaller can never reject or stabilize a sequence below
+and is dropped from the node's live units; an equal one stays live.  A
+leaf compares only the live units' full images, so it gets its orbit
+size from the walk.  The zero-sum-free scan still tests each node.
 
 The scans over Z_n (length n, and length 2n-1 for EGZ) walk the
 non-decreasing sequences depth first and carry the subset sums of the
@@ -54,13 +64,18 @@ VIOLATION_LIMIT = 100
 WITNESS_LIMIT = 100
 # Scans with a raw space below this run in the calling process whatever
 # `shards` says.  Measured on 2 CPUs (Python 3.11, fork start, a fresh
-# interpreter per run, medians of 7): a two-shard pool costs about 34 ms
-# up front (importing concurrent.futures, forking, shutdown and merge) and
-# saves about 0.85 us per raw instance of the length-n scan, which costs
-# 2.3-2.5 us per instance serially.  It breaks even near 40,000 instances:
-# verify_thm_main(9) (24,310) lost 13 ms with two shards, and
-# verify_thm_main(10) (92,378) gained 45 ms.
-POOL_MIN_INSTANCES = 50_000
+# interpreter per run, medians of 7-15, orbit-reduced unless noted): a
+# two-shard pool costs about 40 ms up front (importing concurrent.futures,
+# forking, shutdown and merge).  With pruning in the walk a raw instance of
+# the length-n scan costs far less than before, so two shards only break
+# even at verify_thm_main(10) (92,378: +5 to +21 ms raw, +9 to +11 ms
+# orbit-reduced) and verify_egz(8) (116,280: +4 to +35 ms), and lose
+# 23-30 ms at verify_thm_main(9) (24,310) and verify_egz(7) (27,132).
+# verify_thm_main(11) (352,716) gains 66-77 ms.  No Z_n scan has a raw space
+# between 116,280 and 352,716, so one number over raw space fits both
+# phi(10) = 4 and phi(11) = 10.  The zero-sum-free scans gained nothing
+# from two shards up to Z24 (Z16 54,263: -38 ms; Z18 100,946: -30 ms).
+POOL_MIN_INSTANCES = 120_000
 
 
 def _effective_budget(budget: int | None) -> int:
@@ -158,12 +173,11 @@ def _run_workers(worker, arg_list: list) -> list:
         return list(pool.map(worker, arg_list))
 
 
-def _unit_perms(n: int) -> tuple[list[itemgetter], int]:
+def _count_perms(n: int) -> tuple[list[tuple[int, ...]], int]:
     """Count-vector permutations for each nontrivial unit, plus phi(n).
 
     Multiplying a multiset by the unit u sends the count vector c to
-    c' with c'[i] = c[u^{-1} i mod n]; each permutation is stored as an
-    itemgetter that builds the tuple c' from c.
+    c' with c'[i] = c[p[i]], where p[i] = u^{-1} i mod n.
     """
     us = units(n)
     perms = []
@@ -171,12 +185,14 @@ def _unit_perms(n: int) -> tuple[list[itemgetter], int]:
         if u % n == 1 % n:
             continue
         inv = pow(u, -1, n)
-        perms.append(itemgetter(*((inv * i) % n for i in range(n))))
+        perms.append(tuple((inv * i) % n for i in range(n)))
     return perms, len(us)
 
 
-def _orbit_cover(counts: list[int], perms, phi: int) -> int | None:
+def _orbit_cover(counts: list[int], perms: list[itemgetter], phi: int) -> int | None:
     """Orbit size if counts is the canonical representative, else None.
+
+    perms builds the image count tuple c' of each nontrivial unit.
 
     Sorted multisets compare lexicographically; on count vectors that
     means the first value with a differing count decides, and the larger
@@ -192,6 +208,30 @@ def _orbit_cover(counts: list[int], perms, phi: int) -> int | None:
         if image == here:
             stab += 1
     return phi // stab
+
+
+def _prefix_rules(n: int) -> tuple[list[itemgetter], list[list[tuple]], int]:
+    """The walk's pruning tables: full image getters, per-value rules, phi(n).
+
+    For the j-th nontrivial unit, with permutation p, and a prefix whose
+    last value is v, the counts c[0..v-1] are final.  With k the first
+    index where p[k] >= v (k <= v, since only v indices have p[i] < v),
+    the image counts c'[0..k-1] are final too.
+    rules[v][j] is (image, ident, cut): getters for c'[0..k-1] and
+    c[0..k-1] (index 0 alone when k = 0, which p fixes), and cut = k when
+    p[k] == v and k < v, else v.  With equal prefixes the current c[v]
+    is a lower bound on c'[cut], so c[v] > c[cut] rejects; cut = v makes
+    that test a no-op.
+    """
+    perms, phi = _count_perms(n)
+    rules: list[list[tuple]] = [[] for _ in range(n)]
+    for p in perms:
+        for v in range(n):
+            k = next(i for i in range(n) if p[i] >= v)
+            cols = max(k, 1)
+            cut = k if p[k] == v and k < v else v
+            rules[v].append((itemgetter(*p[:cols]), itemgetter(*range(cols)), cut))
+    return [itemgetter(*p) for p in perms], rules, phi
 
 
 @cache
@@ -228,14 +268,22 @@ def _unrank(n: int, length: int, rank: int) -> list[int]:
     return out
 
 
-def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf) -> None:
-    """Call leaf(packed, combo, counts) on each non-decreasing sequence.
+def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool = False) -> None:
+    """Call leaf(packed, combo, counts, cover) on each non-decreasing sequence.
 
     Covers the length-`length` sequences over Z_n whose rank (see
     _unrank) is in [start, stop), in lexicographic order.  combo is the
     sequence, counts its count vector, and packed its subset sums in the
     layout of sums.cyclic_add_residue, cut to lengths 0..n.  All three
     are only valid during the call.
+
+    With orbit, only the canonical sequences (no unit image u*S sorts
+    below S) reach leaf, and cover is the size of their orbit; without
+    it, every sequence does, with cover 1.  Each node carries the units
+    still live below it (see _prefix_rules): a unit whose image of the
+    final part of the prefix is larger cuts the subtree, a smaller one
+    can never reject or stabilize anything below and is dropped, and an
+    equal one stays.  A leaf compares only the live units' full images.
 
     Only the nodes on the paths to the range's first and last sequence
     check bounds (`edge`); every subtree between those paths is complete
@@ -248,44 +296,91 @@ def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf) -> None:
     first = _unrank(n, length, start)
     final = _unrank(n, length, stop - 1)
     lo_mask, hi_mask = sums.cyclic_rotation_masks(n, n)
+    full, rules, phi = _prefix_rules(n) if orbit else ([], [], 1)
     combo: list[int] = []
     counts = [0] * n
     last = length - 1
 
-    def rec(lo_v: int, hi_v: int, depth: int, x: int) -> None:
+    def prune(v: int, live: list[int]) -> list[int] | None:
+        # the live units below the prefix just extended by v, or None to cut
+        rule = rules[v]
+        cv = counts[v]
+        if cv > 1:
+            # v was already last: the final part of the prefix is unchanged
+            # and equal under every live unit; only the grown c[v] can reject
+            for j in live:
+                if cv > counts[rule[j][2]]:
+                    return None
+            return live
+        kept = []
+        for j in live:
+            image, ident, cut = rule[j]
+            a = image(counts)
+            b = ident(counts)
+            if a > b:
+                return None
+            if a == b:
+                if cv > counts[cut]:
+                    return None
+                kept.append(j)
+        return kept
+
+    def cover_of(live: list[int]) -> int:
+        # orbit size of the finished counts, or 0 when a unit image sorts lower
+        here = tuple(counts)
+        stab = 1
+        for j in live:
+            image = full[j](counts)
+            if image > here:
+                return 0
+            if image == here:
+                stab += 1
+        return phi // stab
+
+    def rec(lo_v: int, hi_v: int, depth: int, x: int, live: list[int]) -> None:
+        # sums.cyclic_add_residue is inlined in both loops: a call per node
+        # would add about 15% to the walk
+        if depth == last:
+            for v in range(lo_v, hi_v):
+                combo.append(v)
+                counts[v] += 1
+                cover = cover_of(live) if live else phi
+                if cover:
+                    leaf(x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n), combo, counts, cover)
+                combo.pop()
+                counts[v] -= 1
+            return
         for v in range(lo_v, hi_v):
-            # sums.cyclic_add_residue inlined: a call per node would add
-            # about 15% to the walk
-            nx = x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n)
             combo.append(v)
             counts[v] += 1
-            if depth == last:
-                leaf(nx, combo, counts)
-            else:
-                rec(v, n, depth + 1, nx)
+            below = prune(v, live) if live else live
+            if below is not None:
+                rec(v, n, depth + 1, x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n), below)
             combo.pop()
             counts[v] -= 1
 
-    def edge(depth: int, x: int, left: bool, right: bool) -> None:
+    def edge(depth: int, x: int, left: bool, right: bool, live: list[int]) -> None:
         # combo equals first[:depth] when left, final[:depth] when right
         lo_v = first[depth] if left else combo[-1]
         hi_v = final[depth] if right else n - 1
         if depth == last:
-            rec(lo_v, hi_v + 1, depth, x)
+            rec(lo_v, hi_v + 1, depth, x, live)
             return
         for v in range(lo_v, hi_v + 1):
             on_left = left and v == lo_v
             on_right = right and v == hi_v
             if not (on_left or on_right):
-                rec(v, v + 1, depth, x)
+                rec(v, v + 1, depth, x, live)
                 continue
             combo.append(v)
             counts[v] += 1
-            edge(depth + 1, sums.cyclic_add_residue(x, v, n, lo_mask, hi_mask), on_left, on_right)
+            below = prune(v, live) if live else live
+            if below is not None:
+                edge(depth + 1, sums.cyclic_add_residue(x, v, n, lo_mask, hi_mask), on_left, on_right, below)
             combo.pop()
             counts[v] -= 1
 
-    edge(0, 1, True, True)
+    edge(0, 1, True, True, list(range(len(full))))
 
 
 def _add_violation(bucket: dict, law: str, sequence, observed, expected) -> None:
@@ -341,7 +436,6 @@ def _scan_length_n(args: tuple) -> dict:
     length-n statements are evaluated at once.
     """
     n, ranks, orbit = args
-    perms, phi = _unit_perms(n) if orbit else ([], 1)
     allowed_s = {0, 1, n - 2, n - 1}
     out = {
         "instances": 0,
@@ -356,13 +450,7 @@ def _scan_length_n(args: tuple) -> dict:
     }
     viol = out["viol"]
 
-    def leaf(packed: int, combo: list[int], counts: list[int]) -> None:
-        if orbit:
-            cover = _orbit_cover(counts, perms, phi)
-            if cover is None:
-                return
-        else:
-            cover = 1
+    def leaf(packed: int, combo: list[int], counts: list[int], cover: int) -> None:
         out["instances"] += cover
         out["canonical"] += 1
         supp = len(set(combo))
@@ -411,7 +499,7 @@ def _scan_length_n(args: tuple) -> dict:
                         viol, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
                     )
 
-    _walk_packed(n, n, ranks, leaf)
+    _walk_packed(n, n, ranks, leaf, orbit)
     return out
 
 
@@ -645,7 +733,8 @@ def _scan_zero_sum_free(args: tuple) -> dict:
         [group.index_of(element_add(group, a, b)) for b in elements] for a in elements
     ]
     neg = [row.index(0) for row in add]
-    perms, phi = _unit_perms(order) if orbit else ([], 1)
+    perms, phi = _count_perms(order) if orbit else ([], 1)
+    perms = [itemgetter(*p) for p in perms]
     out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
     viol = out["viol"]
     seq: list[int] = []
@@ -775,23 +864,16 @@ def _scan_egz(args: tuple) -> dict:
     """Check every length 2n-1 multiset over Z_n with rank in [start, stop)
     for n entries summing to zero (bit n*n of the packed sums)."""
     n, ranks, orbit = args
-    perms, phi = _unit_perms(n) if orbit else ([], 1)
     out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
     target = n * n
 
-    def leaf(packed: int, combo: list[int], counts: list[int]) -> None:
-        if orbit:
-            cover = _orbit_cover(counts, perms, phi)
-            if cover is None:
-                return
-        else:
-            cover = 1
+    def leaf(packed: int, combo: list[int], counts: list[int], cover: int) -> None:
         out["instances"] += cover
         out["canonical"] += 1
         if not packed >> target & 1:
             _add_violation(out["viol"], "exact-n-zero-sum", combo, False, True)
 
-    _walk_packed(n, 2 * n - 1, ranks, leaf)
+    _walk_packed(n, 2 * n - 1, ranks, leaf, orbit)
     return out
 
 

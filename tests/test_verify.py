@@ -7,7 +7,7 @@ import json
 import subprocess
 import sys
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ from conftest import brute_length_sums, burnside_orbit_count, packed_pairs
 import zerosum
 from zerosum import verify
 from zerosum.errors import BudgetExceededError, UnsupportedSymmetryError
-from zerosum.groups import AbelianGroup
+from zerosum.groups import AbelianGroup, ZSequence, canonical_orbit_representative
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +73,8 @@ def test_walk_packed_leaves_match_subset_enumeration():
     for n, length in ((4, 4), (5, 5), (4, 7), (5, 9)):
         seen = []
 
-        def leaf(packed, combo, counts):
+        def leaf(packed, combo, counts, cover):
+            assert cover == 1
             assert counts == [combo.count(v) for v in range(n)]
             want = {(L, r) for L, r in brute_length_sums(n, combo) if L <= n}
             assert packed_pairs(n, packed) == want
@@ -85,10 +86,14 @@ def test_walk_packed_leaves_match_subset_enumeration():
         assert all(list(c) == sorted(c) for c in seen)
 
 
-def _walk_leaves(n: int, length: int, ranks: tuple[int, int]) -> list:
+def _walk_leaves(n: int, length: int, ranks: tuple[int, int], orbit: bool = False) -> list:
     out = []
     verify._walk_packed(
-        n, length, ranks, lambda packed, combo, counts: out.append((tuple(combo), packed, tuple(counts)))
+        n,
+        length,
+        ranks,
+        lambda packed, combo, counts, cover: out.append((tuple(combo), packed, tuple(counts), cover)),
+        orbit,
     )
     return out
 
@@ -100,6 +105,7 @@ def test_walk_packed_rank_ranges_concatenate():
         total = comb(n + length - 1, length)
         full = _walk_leaves(n, length, (0, total))
         assert [leaf[0] for leaf in full] == list(combinations_with_replacement(range(n), length))
+        assert {leaf[3] for leaf in full} == {1}
         for k in (1, 2, 3, 7, total):
             bounds = [total * i // k for i in range(k + 1)]
             parts = [_walk_leaves(n, length, (a, b)) for a, b in zip(bounds, bounds[1:])]
@@ -107,6 +113,69 @@ def test_walk_packed_rank_ranges_concatenate():
             assert [leaf for p in parts for leaf in p] == full
         for a, b in ((0, 0), (total, total), (1, total - 1), (total // 3, total // 2), (total - 1, total)):
             assert _walk_leaves(n, length, (a, b)) == full[a:b]
+
+
+def _canonical_with_orbit_sizes(n: int, length: int) -> list:
+    """(sequence, orbit size) for each canonical sequence, in lexicographic order.
+
+    Independent of the walk: an orbit is the set of distinct sorted images
+    u*S, and its canonical member is what the library's representative
+    returns for the first member met.  The representative is orbit
+    invariant (see test_groups), so a member of the orbit is canonical,
+    that is mapped to itself, exactly when it is that representative.
+    """
+    group = AbelianGroup((n,))
+    unit_list = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    reps = {}
+    for combo in combinations_with_replacement(range(n), length):
+        orbit = frozenset(tuple(sorted(u * v % n for v in combo)) for u in unit_list)
+        if orbit not in reps:
+            rep = canonical_orbit_representative(group, ZSequence(group, tuple((v,) for v in combo)))
+            reps[orbit] = tuple(g[0] for g in rep)
+            assert reps[orbit] in orbit
+    return sorted((rep, len(orbit)) for orbit, rep in reps.items())
+
+
+def test_prefix_rules_compare_the_longest_final_prefix():
+    # the rule for (unit u, last value v) compares every image count that
+    # is already final, and no other: c'[i] = c[u^-1 i] for the longest run
+    # of indices whose preimages are all below v
+    def cols(getter):
+        got = getter(list(range(n)))
+        return got if isinstance(got, tuple) else (got,)
+
+    for n in range(1, 13):
+        full, rules, phi = verify._prefix_rules(n)
+        unit_list = [u for u in range(2, n) if gcd(u, n) == 1]
+        assert phi == max(1, len(unit_list) + 1) and len(full) == len(unit_list)
+        for j, u in enumerate(unit_list):
+            p = [pow(u, -1, n) * i % n for i in range(n)]
+            assert cols(full[j]) == tuple(p)
+            for v in range(n):
+                k = 0
+                while p[k] < v:
+                    k += 1
+                image, ident, cut = rules[v][j]
+                assert cols(image) == tuple(p[: max(k, 1)])
+                assert cols(ident) == tuple(range(max(k, 1)))
+                assert cut == (k if p[k] == v and k < v else v)
+
+
+def test_walk_packed_orbit_mode_visits_exactly_the_canonical_sequences():
+    shapes = [(n, n) for n in range(2, 11)] + [(n, 2 * n - 1) for n in range(2, 7)]
+    for n, length in shapes:
+        want = _canonical_with_orbit_sizes(n, length)
+        total = comb(n + length - 1, length)
+        full = _walk_leaves(n, length, (0, total), orbit=True)
+        assert [(leaf[0], leaf[3]) for leaf in full] == want, (n, length)
+        # the packed sums and counts are those of the raw walk's leaf
+        raw = {leaf[0]: leaf for leaf in _walk_leaves(n, length, (0, total))}
+        assert all(leaf[:3] == raw[leaf[0]][:3] for leaf in full)
+        assert sum(size for _, size in want) == total
+        for k in (1, 2, 3, 7):
+            bounds = [total * i // k for i in range(k + 1)]
+            parts = [_walk_leaves(n, length, (a, b), orbit=True) for a, b in zip(bounds, bounds[1:])]
+            assert [leaf for p in parts for leaf in p] == full, (n, length, k)
 
 
 def test_scan_cache_ignores_shard_count(monkeypatch):
@@ -176,7 +245,7 @@ def test_import_and_small_scans_skip_pool_machinery():
         "from zerosum import cli\n"
         "loaded = ['concurrent.futures' in sys.modules]\n"
         "for argv in (['verify', 'all', '--n-max', '6', '--shards', '2'],\n"
-        "             ['verify', 'support-bound', '--n', '10', '--shards', '2']):\n"
+        "             ['verify', 'support-bound', '--n', '11', '--shards', '2']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "    loaded.append('concurrent.futures' in sys.modules)\n"
@@ -257,6 +326,20 @@ def test_davenport_table_frozen():
     assert by_group["Z2xZ4"]["davenport"] == 5
     for row in rows:
         assert (row["davenport"] == row["order"]) == row["cyclic"]
+
+
+def test_davenport_table_equals_olson_constant():
+    # D(G) = D*(G) = 1 + sum(n_i - 1) over the invariant factors n_1 | ... | n_r
+    # holds for p-groups and for rank <= 2 (Olson 1969; van Emde Boas and
+    # Kruyswijk 1967).  A group of order <= 16 that is neither needs a
+    # rank-3 p-part next to another prime, so order >= 24: every row is covered.
+    rows = verify.verify_davenport_table(16).details["table"]
+    assert len(rows) == 25
+    for row in rows:
+        factors = [int(part[1:]) for part in row["group"].split("x")]
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:])), row["group"]
+        assert prod(factors) == row["order"]
+        assert row["davenport"] == 1 + sum(f - 1 for f in factors), row["group"]
 
 
 def test_davenport_table_cap():
