@@ -20,7 +20,6 @@ from .errors import (
 from .groups import (
     AbelianGroup,
     ZSequence,
-    canonical_orbit_representative,
     element_add,
     element_neg,
     element_order,
@@ -31,7 +30,6 @@ from .groups import (
     parse_entries,
     parse_group,
     parse_sequence,
-    unit_multiply,
     units,
 )
 from .sums import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterable, Iterator
 
-from .errors import InvalidElementError, ParseError, UnsupportedSymmetryError
+from .errors import InvalidElementError, ParseError
 
 Element = tuple[int, ...]
 
@@ -187,7 +187,7 @@ class ZSequence:
 
 
 # ---------------------------------------------------------------------------
-# unit action and orbit canonicalisation (cyclic groups only)
+# units mod n
 
 
 def units(n: int) -> tuple[int, ...]:
@@ -195,44 +195,6 @@ def units(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("modulus must be positive")
     return tuple(u for u in range(1, n + 1) if math.gcd(u, n) == 1)
-
-
-def unit_multiply(group: AbelianGroup, u: int, seq: ZSequence) -> ZSequence:
-    """Image of a sequence under entrywise multiplication by a unit u."""
-    _require_cyclic_rank_one(group)
-    n = group.factors[0]
-    if math.gcd(u, n) != 1:
-        raise InvalidElementError(f"{u} is not a unit mod {n}")
-    return ZSequence.from_iterable(group, ((u * g[0]) % n for g in seq))
-
-
-def canonical_orbit_representative(group: AbelianGroup, seq: ZSequence) -> ZSequence:
-    """Lexicographically least sorted multiset among all unit multiples u*S.
-
-    Every statement this package verifies is invariant under the unit
-    action, so enumerating one representative per orbit suffices.
-    """
-    _require_cyclic_rank_one(group)
-    n = group.factors[0]
-    base = tuple(g[0] for g in seq.entries)
-    best = base
-    for u in units(n):
-        if u == 1:
-            continue
-        image = tuple(sorted((u * x) % n for x in base))
-        if image < best:
-            best = image
-    return ZSequence(group, tuple((x,) for x in best))
-
-
-def _require_cyclic_rank_one(group: AbelianGroup) -> None:
-    # the unit action is only wired up for a single cyclic factor; a
-    # product like Z2xZ3 is abstractly cyclic but its presentation here
-    # is not, and the raw enumeration path handles it instead
-    if group.rank != 1:
-        raise UnsupportedSymmetryError(
-            f"unit-orbit reduction needs a single cyclic factor, got {group}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -108,19 +108,6 @@ def elem_divides(order: QuadOrder, alpha: Element, beta: Element) -> bool:
     return elem_divide(order, alpha, beta) is not None
 
 
-def units_of(order: QuadOrder) -> tuple[Element, ...]:
-    if order.d == 1:
-        return ((1, 0), (-1, 0), (0, 1), (0, -1))
-    if order.d == 3:
-        # sixth roots of unity; w = (1+sqrt(-3))/2 is a primitive one
-        return ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-    return ((1, 0), (-1, 0))
-
-
-def associates(order: QuadOrder, alpha: Element) -> tuple[Element, ...]:
-    return tuple(elem_mul(order, u, alpha) for u in units_of(order))
-
-
 def format_element(order: QuadOrder, alpha: Element) -> str:
     x, y = alpha
     if order.omega_trace == 0:

@@ -5,6 +5,14 @@ minimal length of a nonempty zero-sum subsequence (infinite when no
 such subsequence exists), the support size, and the Davenport constant
 of a group.  Everything here is exact; dynamic programming over the
 group's index space replaces subset enumeration.
+
+Sets of group elements are the bits of an int: bit v stands for the
+element of index v (AbelianGroup.index_of), and a packed int may hold
+several such |G|-bit blocks side by side.  One step, packed_translator,
+adds an element to every set in every block for any group: `mz` and
+`sumset` keep one block per bound L (the sums of at most L entries),
+`has_zero_sum_of_size` and the Z_n scans in `verify` one per exact
+length, and `davenport` and the zero-sum-free scan a single sum set.
 """
 
 from __future__ import annotations
@@ -19,6 +27,10 @@ INFINITY = math.inf
 
 # dense DP walks arrays of size |G|; keep it at desk scale
 DENSE_ORDER_CAP = 1_000_000
+
+# mz's witness replays k * m * |G| bits of layer snapshots (k entries,
+# m = mz); above this many it refuses before building them
+WITNESS_BIT_CAP = 1 << 32
 
 # the zero-sum-free search is exponential in the worst case; the
 # capacity prune handles every group we target, but cap the order anyway
@@ -86,83 +98,151 @@ def _check_dense_budget(group: AbelianGroup) -> None:
         )
 
 
-def _add_permutation(group: AbelianGroup, g: Element) -> list[int]:
-    """perm[v] = index of element_at(v) + g.
+# ---------------------------------------------------------------------------
+# the packed step
 
-    Index arithmetic mod |G| only matches group addition for a single
-    cyclic factor; higher ranks go through the element maps.
+
+def _rotation_masks(radix: int, stride: int, c: int, width: int) -> tuple[int, int]:
+    """Masks that add c (0 <= c < radix) to one mixed-radix digit.
+
+    The digit's stride is the product of the radices below it, so its
+    pattern repeats every radix * stride bits.  lo keeps the bits of a
+    width-bit int whose digit is >= c, hi those whose digit is < c, and
+    ((x << c*stride) & lo) | ((x >> (radix-c)*stride) & hi) rotates the
+    digit, leaves the others alone and drops every bit at or above width.
+    The patterns are tiled by doubling, so the cost is linear in width.
     """
-    if group.rank == 1:
-        n = group.order
-        shift = g[0]
-        return [(v + shift) % n for v in range(n)]
-    return [
-        group.index_of(element_add(group, group.element_at(v), g))
-        for v in range(group.order)
-    ]
+    period = radix * stride
+    lo = (1 << period) - (1 << c * stride)
+    hi = (1 << c * stride) - 1
+    span = period
+    while span < width:
+        lo |= lo << span
+        hi |= hi << span
+        span <<= 1
+    full = (1 << width) - 1
+    return lo & full, hi & full
 
 
-def _staged_tables(group: AbelianGroup, entries: tuple[Element, ...]) -> list[list[float]]:
-    """Prefix snapshots of the min-length table.
+def packed_translator(group: AbelianGroup, blocks: int = 1):
+    """translate(x, g): the sets packed in x, each moved by the element g.
 
-    tables[i][v] = least size of a nonempty subsequence of the first i
-    entries summing to index v (INFINITY if none).  tables has len(entries)+1
-    rows, so tables[-1] describes the whole sequence.
+    x holds `blocks` |G|-bit blocks; the result holds g + (each block) in
+    its place and nothing at or above bit blocks * |G|, except that the
+    identity returns x unchanged.  Masks are built lazily, one pair per
+    (digit, shift) that occurs: prebuilt for every residue of Z10000 they
+    took 2.7 GB.
     """
-    order = group.order
-    index_of = group.index_of
-    table = [INFINITY] * order
-    snapshots = [table[:]]
-    sub_perms: dict[Element, list[int]] = {}
+    factors = group.factors
+    width = blocks * group.order
+    strides = [math.prod(factors[j + 1:]) for j in range(len(factors))]
+    masks: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    steps: dict[Element, list[tuple[int, int, int, int]]] = {}
+
+    def rotation(j: int, c: int) -> tuple[int, int, int, int]:
+        step = masks.get((j, c))
+        if step is None:
+            n, s = factors[j], strides[j]
+            lo, hi = _rotation_masks(n, s, c, width)
+            step = masks[j, c] = (c * s, lo, (n - c) * s, hi)
+        return step
+
+    def translate(x: int, g: Element) -> int:
+        ops = steps.get(g)
+        if ops is None:
+            ops = steps[g] = [rotation(j, c) for j, c in enumerate(g) if c]
+        for up, lo, down, hi in ops:
+            x = ((x << up) & lo) | ((x >> down) & hi)
+        return x
+
+    return translate
+
+
+def _sum_layers(
+    translate,
+    entries: tuple[Element, ...],
+    cap: int,
+    stop_at_zero: bool = False,
+    snapshots: list | None = None,
+) -> list[int]:
+    """Cumulative subset-sum layers: out[L-1] is C_L, the nonempty sums of
+    at most L entries, as a |G|-bit int.
+
+    Adding g turns C_L into C_L | (g + (C_{L-1} | {0})).  A top layer equal
+    to the one below is dropped, since every layer above it is the same
+    set, and each entry adds back at most one layer; so a missing layer L
+    equals the last one kept.  Layers above `cap` are never built, and
+    with stop_at_zero the cap falls to the lowest layer holding zero.
+    snapshots, when given, gets the layers (a tuple) after each entry.
+    """
+    layers: list[int] = []
     for g in entries:
-        sub = sub_perms.get(g)
-        if sub is None:
-            sub = sub_perms[g] = _add_permutation(group, element_neg(group, g))
-        gi = index_of(g)
-        new = table[:]
-        for v in range(order):
-            # shifting an older subsequence by g, or starting fresh at {g}
-            src = table[sub[v]]
-            cand = src + 1 if src != INFINITY else INFINITY
-            if v == gi and cand > 1:
-                cand = 1
-            if cand < new[v]:
-                new[v] = cand
-        table = new
-        snapshots.append(table[:])
-    return snapshots
+        if len(layers) < cap:
+            layers.append(layers[-1] if layers else 0)
+        below = 1  # C_0 | {0}: the empty sum
+        for L, old in enumerate(layers):
+            layers[L] = old | translate(below, g)
+            below = old | 1
+        while len(layers) > 1 and layers[-1] == layers[-2]:
+            layers.pop()
+        if stop_at_zero:
+            for L, layer in enumerate(layers):
+                if layer & 1:
+                    cap = L + 1
+                    del layers[cap:]
+                    break
+        if snapshots is not None:
+            snapshots.append(tuple(layers))
+    return layers
 
 
 def sumset(seq: ZSequence) -> SumSet:
     """All nonempty subsequence sums with their minimal lengths."""
-    _check_dense_budget(seq.group)
-    table = _staged_tables(seq.group, seq.entries)[-1]
-    pairs = tuple(
-        (seq.group.element_at(v), int(k)) for v, k in enumerate(table) if k != INFINITY
-    )
-    return SumSet(seq.group, pairs)
+    group = seq.group
+    _check_dense_budget(group)
+    layers = _sum_layers(packed_translator(group), seq.entries, len(seq))
+    least: dict[int, int] = {}
+    seen = 0
+    for L, layer in enumerate(layers, 1):
+        # the binary digits of the sums new at L, lowest index first
+        for v, bit in enumerate(bin(layer & ~seen)[:1:-1]):
+            if bit == "1":
+                least[v] = L
+        seen = layer
+    return SumSet(group, tuple((group.element_at(v), least[v]) for v in sorted(least)))
 
 
 def mz(seq: ZSequence) -> MZResult:
     """Minimal length of a nonempty zero-sum subsequence of seq."""
-    _check_dense_budget(seq.group)
     group = seq.group
-    snapshots = _staged_tables(group, seq.entries)
-    best = snapshots[-1][0]
-    if best == INFINITY:
+    _check_dense_budget(group)
+    entries = seq.entries
+    translate = packed_translator(group)
+    layers = _sum_layers(translate, entries, len(entries), stop_at_zero=True)
+    length = next((L for L, layer in enumerate(layers, 1) if layer & 1), None)
+    if length is None:
         return MZResult(INFINITY, None)
-    length = int(best)
-    # walk the snapshots backwards; keep an entry only when dropping it
-    # would lose the target, which picks the earliest entries overall
+    if len(entries) * length * group.order > WITNESS_BIT_CAP:
+        raise BudgetExceededError(
+            f"mz witness needs k*m*|G| <= {WITNESS_BIT_CAP} bits, got "
+            f"{len(entries)}*{length}*{group.order}"
+        )
+    # replay with the layers up to mz kept after every prefix; then walk
+    # backwards and keep an entry only when dropping it would lose the
+    # target, which picks the earliest entries overall
+    snapshots: list[tuple[int, ...]] = [()]
+    _sum_layers(translate, entries, length, snapshots=snapshots)
     chosen: list[Element] = []
     v = 0
     remaining = length
-    for i in range(len(seq.entries), 0, -1):
+    for i in range(len(entries), 0, -1):
         if remaining == 0:
             break
-        if snapshots[i - 1][v] <= remaining:
+        before = snapshots[i - 1]
+        # a layer above a snapshot's top is equal to its top
+        if before and before[min(remaining, len(before)) - 1] >> v & 1:
             continue
-        g = seq.entries[i - 1]
+        g = entries[i - 1]
         chosen.append(g)
         v = group.index_of(element_add(group, group.element_at(v), element_neg(group, g)))
         remaining -= 1
@@ -181,33 +261,30 @@ def is_zero_sum_free(seq: ZSequence) -> bool:
 
 
 def has_zero_sum_of_size(seq: ZSequence, size: int) -> bool:
-    """True when some subsequence of exactly `size` entries sums to zero."""
+    """True when some subsequence of exactly `size` entries sums to zero.
+
+    Block L of the packed int (bits L*|G| .. (L+1)*|G| - 1) holds the
+    sums of exactly L entries; the empty sequence packs to 1.
+    """
     if size < 1 or size > len(seq):
         return False
-    _check_dense_budget(seq.group)
     group = seq.group
+    _check_dense_budget(group)
     order = group.order
-    by_len: list[set[int]] = [set() for _ in range(size + 1)]
-    add_perms: dict[Element, list[int]] = {}
+    translate = packed_translator(group, size)
+    below = (1 << size * order) - 1
+    x = 1
     for g in seq.entries:
-        add = add_perms.get(g)
-        if add is None:
-            add = add_perms[g] = _add_permutation(group, g)
-        for length in range(size, 1, -1):
-            prev = by_len[length - 1]
-            if prev:
-                by_len[length] |= {add[v] for v in prev}
-        by_len[1].add(group.index_of(g))
-    return 0 in by_len[size]
+        x |= translate(x & below, g) << order
+    return bool(x >> (size * order) & 1)
 
 
 # ---------------------------------------------------------------------------
 # packed cardinality-resolved subset sums over a single cyclic factor
 #
-# One int holds every (length, residue) pair at once: bit L*n + r is set
-# when some L entries sum to r mod n, so bit 0 (L = 0, r = 0) stands for
-# the empty subsequence and the empty sequence packs to 1.  Adding a
-# residue v rotates every n-bit block by v and moves it up one block.
+# The rank-1 case of has_zero_sum_of_size's layout, for the scans in
+# verify: bit L*n + r is set when some L entries sum to r mod n.  Adding
+# a residue v rotates every n-bit block by v and moves it up one block.
 
 
 def cyclic_rotation_masks(n: int, blocks: int) -> tuple[list[int], list[int]]:
@@ -218,26 +295,13 @@ def cyclic_rotation_masks(n: int, blocks: int) -> tuple[list[int], list[int]]:
     within its lowest (blocks + 1) * n bits: lengths past `blocks` are
     cut off, and every length up to `blocks` is kept exactly.
     """
-    ones = sum(1 << (b * n) for b in range(blocks))
-    lo = [((1 << n) - (1 << v)) * ones for v in range(n)]
-    hi = [((1 << v) - 1) * ones for v in range(n)]
-    return lo, hi
+    masks = [_rotation_masks(n, 1, v, blocks * n) for v in range(n)]
+    return [lo for lo, _ in masks], [hi for _, hi in masks]
 
 
 def cyclic_add_residue(x: int, v: int, n: int, lo: list[int], hi: list[int]) -> int:
     """Packed sums after appending the residue v (0 <= v < n)."""
     return x | ((((x << v) & lo[v]) | ((x >> (n - v)) & hi[v])) << n)
-
-
-def cyclic_zero_sum_of_size(n: int, values: tuple[int, ...] | list[int], size: int) -> bool:
-    """Exact-cardinality variant: a zero-sum subset of exactly `size` residues."""
-    if size < 1 or size > len(values):
-        return False
-    lo, hi = cyclic_rotation_masks(n, size)
-    x = 1
-    for v in values:
-        x = cyclic_add_residue(x, v % n, n, lo, hi)
-    return bool(x >> (size * n) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,32 +323,29 @@ def davenport(group: AbelianGroup, order_cap: int = DAVENPORT_ORDER_CAP) -> Dave
         )
     order = group.order
     elements = list(group.elements())
-    add = [
-        [group.index_of(element_add(group, a, b)) for b in elements] for a in elements
-    ]
+    neg = [group.index_of(element_neg(group, g)) for g in elements]
+    translate = packed_translator(group)
     best_len = 0
     best_seq: list[int] = []
 
-    def extend(seq: list[int], sigma: set[int], lo: int) -> None:
+    def extend(seq: list[int], sigma: int, size: int, lo: int) -> None:
         nonlocal best_len, best_seq
         if len(seq) > best_len:
             best_len = len(seq)
             best_seq = seq[:]
         for gi in range(lo, order):
-            if len(seq) + (order - 1 - len(sigma)) <= best_len:
+            if len(seq) + (order - 1 - size) <= best_len:
                 # every further entry adds at least one sum and the sums
                 # avoid zero, so this branch cannot beat the record
                 break
-            row = add[gi]
-            new_sigma = {row[v] for v in sigma}
-            new_sigma.add(gi)
-            if 0 in new_sigma:
+            if sigma >> neg[gi] & 1:
+                # -g is a sum already, so adding g gains zero
                 continue
-            new_sigma |= sigma
+            grown = sigma | translate(sigma, elements[gi]) | (1 << gi)
             seq.append(gi)
-            extend(seq, new_sigma, gi)
+            extend(seq, grown, grown.bit_count(), gi)
             seq.pop()
 
-    extend([], set(), 1)
+    extend([], 0, 0, 1)
     witness = ZSequence.from_iterable(group, (elements[i] for i in best_seq))
     return DavenportResult(best_len + 1, witness)

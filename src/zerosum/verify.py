@@ -8,28 +8,27 @@ by the checkers that read different statements off the same pass.
 
 A scan whose raw space (the count its budget check computes) is below
 POOL_MIN_INSTANCES runs in the calling process whatever `shards` says;
-only a larger scan is cut into `shards` contiguous pieces for a process
-pool.  The scans over Z_n cut the lexicographic ranks of their sequences
-into equal ranges (the walk unranks each range's first and last
-sequence); the zero-sum-free scan and the Davenport table cut on the
-first entry.  Workers are pure; shard results merge by summing counts
-and concatenating violation lists in rank order, so a report is
-byte-identical for every shard count.
+only a larger scan over Z_n is cut into `shards` contiguous pieces for a
+process pool.  The pieces are equal ranges of the lexicographic ranks of
+its sequences (the walk unranks each range's first and last sequence).
+Workers are pure; shard results merge by summing counts and keeping the
+VIOLATION_LIMIT smallest violation rows of each law, so a report is
+byte-identical for every shard count.  The zero-sum-free scan and the
+Davenport table always run in process: a pool never paid for them.
 
-When a cyclic group is involved, enumeration is reduced to one
-representative per unit orbit u*S (the checked statements are all
-invariant under that action) and instances_checked still counts the raw
-multisets covered, weighting each representative by its orbit size.
-The representative is the sequence that sorts lowest in its orbit.  The
-scans over Z_n prune inside the walk (canonical augmentation, McKay,
-J. Algorithms 26, 1998): once a prefix has last value v, the counts of
-the values below v are final, and so is the image of their first k
-counts under a unit, up to the first index whose preimage reaches v.  A
-unit whose image of that part is larger cuts the whole subtree; a unit
-whose image is smaller can never reject or stabilize a sequence below
-and is dropped from the node's live units; an equal one stays live.  A
-leaf compares only the live units' full images, so it gets its orbit
-size from the walk.  The zero-sum-free scan still tests each node.
+The scans over Z_n are reduced to one representative per unit orbit
+u*S (the checked statements are all invariant under that action), and
+instances_checked still counts the raw multisets covered, weighting
+each representative by its orbit size.  The representative is the
+sequence that sorts lowest in its orbit.  The walk prunes as it goes
+(canonical augmentation, McKay, J. Algorithms 26, 1998): once a prefix
+has last value v, the counts of the values below v are final, and so is
+the image of their first k counts under a unit, up to the first index
+whose preimage reaches v.  A unit whose image of that part is larger
+cuts the whole subtree; a unit whose image is smaller can never reject
+or stabilize a sequence below and is dropped from the node's live
+units; an equal one stays live.  A leaf compares only the live units'
+full images, so it gets its orbit size from the walk.
 
 The scans over Z_n (length n, and length 2n-1 for EGZ) walk the
 non-decreasing sequences depth first and carry the subset sums of the
@@ -41,6 +40,13 @@ empty prefix is 1.  Appending the residue v rotates every block by v
 up one block.  Blocks past n are never written: the minimal zero-sum
 length is the index of the lowest set bit among L*n, L = 1..n, and the
 EGZ statement reads bit n*n.
+
+The zero-sum-free scan runs over any group, level by level: level k maps
+each zero-sum-free multiset of length k to its sum set, one |G|-bit int
+grown by sums.packed_translator.  The parents S minus one entry of a
+multiset S all sit in the previous level, so the growth laws read their
+sum sets there; a depth-first order would reach most of them only after
+S.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ from math import comb, gcd
 from operator import itemgetter
 
 from . import sums
-from .errors import BudgetExceededError, UnsupportedSymmetryError
-from .groups import AbelianGroup, element_add, groups_of_order, units
+from .errors import BudgetExceededError
+from .groups import AbelianGroup, ZSequence, element_neg, groups_of_order, units
 
 # raw enumeration cap; C(2n-1, n) <= 10^7 keeps runs at minutes
 RAW_ENUMERATION_CAP = 10_000_000
@@ -73,8 +79,7 @@ WITNESS_LIMIT = 100
 # 23-30 ms at verify_thm_main(9) (24,310) and verify_egz(7) (27,132).
 # verify_thm_main(11) (352,716) gains 66-77 ms.  No Z_n scan has a raw space
 # between 116,280 and 352,716, so one number over raw space fits both
-# phi(10) = 4 and phi(11) = 10.  The zero-sum-free scans gained nothing
-# from two shards up to Z24 (Z16 54,263: -38 ms; Z18 100,946: -30 ms).
+# phi(10) = 4 and phi(11) = 10.
 POOL_MIN_INSTANCES = 120_000
 
 
@@ -138,13 +143,12 @@ def reports_to_json(reports: list[VerificationReport], include_elapsed: bool = T
 # shared machinery
 
 
-def _split_range(lo: int, hi: int, shards: int, space: int) -> list[tuple[int, int]]:
-    """Contiguous chunks [lo, hi), one per shard; empty chunks dropped.
+def _split_range(total: int, shards: int, space: int) -> list[tuple[int, int]]:
+    """Contiguous rank ranges covering [0, total), one per shard; empty ones dropped.
 
     space is the scan's raw instance count: below POOL_MIN_INSTANCES the
     whole range is one chunk, which _run_workers runs in process.
     """
-    total = hi - lo
     if total <= 0:
         return []
     if space < POOL_MIN_INSTANCES:
@@ -152,7 +156,7 @@ def _split_range(lo: int, hi: int, shards: int, space: int) -> list[tuple[int, i
     shards = max(1, min(shards, total))
     q, r = divmod(total, shards)
     out = []
-    start = lo
+    start = 0
     for i in range(shards):
         size = q + (1 if i < r else 0)
         out.append((start, start + size))
@@ -187,27 +191,6 @@ def _count_perms(n: int) -> tuple[list[tuple[int, ...]], int]:
         inv = pow(u, -1, n)
         perms.append(tuple((inv * i) % n for i in range(n)))
     return perms, len(us)
-
-
-def _orbit_cover(counts: list[int], perms: list[itemgetter], phi: int) -> int | None:
-    """Orbit size if counts is the canonical representative, else None.
-
-    perms builds the image count tuple c' of each nontrivial unit.
-
-    Sorted multisets compare lexicographically; on count vectors that
-    means the first value with a differing count decides, and the larger
-    count wins (more copies of the smaller value).  So an image count
-    tuple above counts rejects, and an equal one is a stabilizer.
-    """
-    here = tuple(counts)
-    stab = 1
-    for perm in perms:
-        image = perm(counts)
-        if image > here:
-            return None
-        if image == here:
-            stab += 1
-    return phi // stab
 
 
 def _prefix_rules(n: int) -> tuple[list[itemgetter], list[list[tuple]], int]:
@@ -383,18 +366,25 @@ def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool 
     edge(0, 1, True, True, list(range(len(full))))
 
 
+def _keep_smallest(rows: list[dict]) -> None:
+    # the rows a report shows must not depend on visiting or shard order
+    rows.sort(key=lambda r: (r["law"], tuple(r["sequence"]), str(r["observed"])))
+    del rows[VIOLATION_LIMIT:]
+
+
 def _add_violation(bucket: dict, law: str, sequence, observed, expected) -> None:
     bucket["totals"][law] = bucket["totals"].get(law, 0) + 1
     rows = bucket["rows"].setdefault(law, [])
-    if len(rows) < VIOLATION_LIMIT:
-        rows.append(
-            {
-                "law": law,
-                "sequence": list(sequence),
-                "observed": observed,
-                "expected": expected,
-            }
-        )
+    rows.append(
+        {
+            "law": law,
+            "sequence": list(sequence),
+            "observed": observed,
+            "expected": expected,
+        }
+    )
+    if len(rows) >= 2 * VIOLATION_LIMIT:
+        _keep_smallest(rows)
 
 
 def _new_violation_bucket() -> dict:
@@ -407,10 +397,9 @@ def _merge_violation_buckets(buckets: list[dict]) -> dict:
         for law, total in b["totals"].items():
             out["totals"][law] = out["totals"].get(law, 0) + total
         for law, rows in b["rows"].items():
-            dst = out["rows"].setdefault(law, [])
-            for row in rows:
-                if len(dst) < VIOLATION_LIMIT:
-                    dst.append(row)
+            out["rows"].setdefault(law, []).extend(rows)
+    for rows in out["rows"].values():
+        _keep_smallest(rows)
     return out
 
 
@@ -420,8 +409,8 @@ def _emit_violations(bucket: dict, laws: tuple[str, ...]) -> tuple[list[dict], i
     for law in laws:
         total += bucket["totals"].get(law, 0)
         rows.extend(bucket["rows"].get(law, []))
-    rows.sort(key=lambda r: (r["law"], tuple(r["sequence"]), str(r["observed"])))
-    return rows[:VIOLATION_LIMIT], total
+    _keep_smallest(rows)
+    return rows, total
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +534,7 @@ def _length_n_bundle(n: int, orbit: bool, shards: int, budget: int | None) -> di
     cap = _effective_budget(budget)
     if space > cap:
         raise BudgetExceededError(f"raw space C({2*n-1},{n}) = {space} exceeds budget {cap}")
-    chunks = _split_range(0, space, shards, space)
+    chunks = _split_range(space, shards, space)
     bundles = _run_workers(_scan_length_n, [(n, c, orbit) for c in chunks])
     merged = _merge_length_n(bundles)
     # orbit sizes must account for the raw space exactly
@@ -555,12 +544,8 @@ def _length_n_bundle(n: int, orbit: bool, shards: int, budget: int | None) -> di
     return merged
 
 
-def _resolve_orbit(orbit_reduced: bool | None, cyclic_ok: bool = True) -> bool:
-    if orbit_reduced is None:
-        return cyclic_ok
-    if orbit_reduced and not cyclic_ok:
-        raise UnsupportedSymmetryError("orbit reduction needs a single cyclic factor")
-    return orbit_reduced
+def _resolve_orbit(orbit_reduced: bool | None) -> bool:
+    return True if orbit_reduced is None else orbit_reduced
 
 
 # ---------------------------------------------------------------------------
@@ -716,87 +701,46 @@ def verify_corollary_short_zero_sum(
 # zero-sum-free scan: sum-set growth laws
 
 
-def _scan_zero_sum_free(args: tuple) -> dict:
+def _scan_zero_sum_free(group: AbelianGroup, k_max: int) -> dict:
     """Enumerate zero-sum-free multisets (length <= k_max) over a group.
 
-    DFS over non-decreasing element indices, first index in [lo, hi);
-    the running sum set kills any branch that acquires zero.  Each node
-    is an instance: the growth laws are checked against every
-    one-element-removed parent.
+    Level by level over non-decreasing element indices: a child of a
+    multiset S appends an index g >= S's last one, and lives when -g is
+    not a sum of S already.  Each multiset is an instance: the growth
+    laws are checked against the sum sets of its one-element-removed
+    parents, read from the previous level (level 0 holds the empty one).
     """
-    factors, k_max, lo_hi, orbit = args
-    lo, hi = lo_hi
-    group = AbelianGroup(factors)
     order = group.order
     elements = list(group.elements())
-    add = [
-        [group.index_of(element_add(group, a, b)) for b in elements] for a in elements
-    ]
-    neg = [row.index(0) for row in add]
-    perms, phi = _count_perms(order) if orbit else ([], 1)
-    perms = [itemgetter(*p) for p in perms]
-    out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
+    neg = [group.index_of(element_neg(group, g)) for g in elements]
+    translate = sums.packed_translator(group)
+    out = {"instances": 0, "viol": _new_violation_bucket()}
     viol = out["viol"]
-    seq: list[int] = []
-
-    def sigma_of(values: list[int]) -> set[int]:
-        acc: set[int] = set()
-        for v in values:
-            acc |= {add[w][v] for w in acc}
-            acc.add(v)
-        return acc
-
-    def node(sigma: set[int]) -> None:
-        if orbit:
-            counts = [0] * order
-            for v in seq:
-                counts[v] += 1
-            cover = _orbit_cover(counts, perms, phi)
-            if cover is None:
-                return
-        else:
-            cover = 1
-        out["instances"] += cover
-        out["canonical"] += 1
-        k = len(seq)
-        supp = len(set(seq))
-        size = len(sigma)
-        if size < k:
-            _add_violation(viol, "sigma-size-at-least-k", seq, size, k)
-        if size < k - 1 + supp:
-            _add_violation(viol, "sigma-size-support-bound", seq, size, k - 1 + supp)
-        if size == k and supp != 1:
-            _add_violation(viol, "sigma-size-k-constant", seq, supp, 1)
-        if k >= 2:
-            for v in sorted(set(seq)):
-                parent = list(seq)
-                parent.remove(v)
-                parent_size = len(sigma_of(parent))
-                if size < parent_size + 1:
-                    _add_violation(viol, "sigma-growth-step", seq, size, parent_size + 1)
-
-    def rec(lo_i: int, sigma: set[int]) -> None:
-        start = max(lo_i, 1)
-        for gi in range(start, order):
-            # the child's sums gain zero exactly when -gi is a sum already
-            if neg[gi] in sigma:
-                continue
-            grown = {add[w][gi] for w in sigma}
-            grown.add(gi)
-            grown |= sigma
-            seq.append(gi)
-            node(grown)
-            if len(seq) < k_max:
-                rec(gi, grown)
-            seq.pop()
-
-    for first in range(max(lo, 1), hi):
-        grown = {first}
-        seq.append(first)
-        node(grown)
-        if k_max > 1:
-            rec(first, grown)
-        seq.pop()
+    level: dict[tuple[int, ...], int] = {(): 0}
+    for k in range(1, k_max + 1):
+        parents, level = level, {}
+        for seq, sigma in parents.items():
+            for gi in range(seq[-1] if seq else 1, order):
+                if sigma >> neg[gi] & 1:
+                    continue
+                child = seq + (gi,)
+                grown = sigma | translate(sigma, elements[gi]) | (1 << gi)
+                level[child] = grown
+                size = grown.bit_count()
+                distinct = dict.fromkeys(child)
+                supp = len(distinct)
+                if size < k:
+                    _add_violation(viol, "sigma-size-at-least-k", child, size, k)
+                if size < k - 1 + supp:
+                    _add_violation(viol, "sigma-size-support-bound", child, size, k - 1 + supp)
+                if size == k and supp != 1:
+                    _add_violation(viol, "sigma-size-k-constant", child, supp, 1)
+                for v in distinct:
+                    i = child.index(v)
+                    parent_size = parents[child[:i] + child[i + 1:]].bit_count()
+                    if size < parent_size + 1:
+                        _add_violation(viol, "sigma-growth-step", child, size, parent_size + 1)
+        out["instances"] += len(level)
     return out
 
 
@@ -804,37 +748,29 @@ def verify_sumset_lemmas(
     group: AbelianGroup,
     k_max: int = 6,
     *,
-    orbit_reduced: bool | None = None,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
     """Sum-set growth over zero-sum-free multisets of length k <= k_max:
     at least k sums, at least k-1+supp sums, one-step growth of at least
-    one per appended entry, and exactly k sums only for constant input."""
+    one per appended entry, and exactly k sums only for constant input.
+
+    The scan always runs in process and checks every multiset, so
+    `shards` changes nothing and the report is never orbit-reduced."""
     if k_max < 1:
         raise ValueError("need k_max >= 1")
     order = group.order
     if order < 2:
         raise ValueError("need a nontrivial group")
-    orbit = _resolve_orbit(orbit_reduced, cyclic_ok=group.rank == 1)
     cap = _effective_budget(budget)
     space = sum(comb(order - 2 + k, k) for k in range(1, k_max + 1))
     if space > cap:
         raise BudgetExceededError(f"raw space {space} exceeds budget {cap}")
     t0 = time.perf_counter()
-    key = ("zero-sum-free", group.factors, k_max, orbit)
-    if key in _scan_cache:
-        bundle = _scan_cache[key]
-    else:
-        chunks = _split_range(1, order, shards, space)
-        bundles = _run_workers(
-            _scan_zero_sum_free, [(group.factors, k_max, c, orbit) for c in chunks]
-        )
-        bundle = {"instances": 0, "canonical": 0, "viol": _merge_violation_buckets([b["viol"] for b in bundles])}
-        for b in bundles:
-            bundle["instances"] += b["instances"]
-            bundle["canonical"] += b["canonical"]
-        _scan_cache[key] = bundle
+    key = ("zero-sum-free", group.factors, k_max)
+    if key not in _scan_cache:
+        _scan_cache[key] = _scan_zero_sum_free(group, k_max)
+    bundle = _scan_cache[key]
     rows, total = _emit_violations(
         bundle["viol"],
         (
@@ -848,10 +784,10 @@ def verify_sumset_lemmas(
         statement_id="sumset-growth",
         parameters={"group": str(group), "k_max": k_max},
         instances_checked=bundle["instances"],
-        orbit_reduced=orbit,
+        orbit_reduced=False,
         violations=rows,
         violations_total=total,
-        details={"canonical_instances": bundle["canonical"]},
+        details={"canonical_instances": bundle["instances"]},
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
 
@@ -898,7 +834,7 @@ def verify_egz(
     if key in _scan_cache:
         bundle = _scan_cache[key]
     else:
-        chunks = _split_range(0, space, shards, space)
+        chunks = _split_range(space, shards, space)
         bundles = _run_workers(_scan_egz, [(n, c, orbit) for c in chunks])
         bundle = {"instances": 0, "canonical": 0, "viol": _merge_violation_buckets([b["viol"] for b in bundles])}
         for b in bundles:
@@ -909,7 +845,7 @@ def verify_egz(
         _scan_cache[key] = bundle
     rows, total = _emit_violations(bundle["viol"], ("exact-n-zero-sum",))
     sharp = [0] * (n - 1) + [1] * (n - 1)
-    sharp_ok = not sums.cyclic_zero_sum_of_size(n, sharp, n)
+    sharp_ok = not sums.has_zero_sum_of_size(ZSequence.from_iterable(AbelianGroup((n,)), sharp), n)
     if not sharp_ok:
         total += 1
         rows = rows + [
@@ -941,11 +877,9 @@ def verify_egz(
 # Davenport constants across all small groups
 
 
-def _davenport_rows(args: tuple) -> dict:
-    lo_hi = args[0]
-    lo, hi = lo_hi
+def _davenport_rows(max_order: int) -> dict:
     out = {"rows": [], "viol": _new_violation_bucket()}
-    for m in range(lo, hi):
+    for m in range(1, max_order + 1):
         for group in groups_of_order(m):
             result = sums.davenport(group)
             row = {
@@ -976,7 +910,8 @@ def verify_davenport_table(
 ) -> VerificationReport:
     """Davenport constant never exceeds the group order, with equality
     exactly for cyclic groups; checked for every abelian group of order
-    up to max_order."""
+    up to max_order.  The table always runs in process (about 30 ms at
+    order 16), so `shards` changes nothing."""
     if max_order < 1:
         raise ValueError("need max_order >= 1")
     if max_order > DAVENPORT_TABLE_CAP:
@@ -985,19 +920,9 @@ def verify_davenport_table(
         )
     t0 = time.perf_counter()
     key = ("davenport-table", max_order)
-    if key in _scan_cache:
-        bundle = _scan_cache[key]
-    else:
-        # the table's budget quantity is max_order <= DAVENPORT_TABLE_CAP,
-        # far below POOL_MIN_INSTANCES: the order-16 table takes about
-        # 70 ms serially and took the same split over a two-worker pool
-        chunks = _split_range(1, max_order + 1, shards, max_order)
-        results = _run_workers(_davenport_rows, [(c,) for c in chunks])
-        bundle = {
-            "rows": [row for r in results for row in r["rows"]],
-            "viol": _merge_violation_buckets([r["viol"] for r in results]),
-        }
-        _scan_cache[key] = bundle
+    if key not in _scan_cache:
+        _scan_cache[key] = _davenport_rows(max_order)
+    bundle = _scan_cache[key]
     rows, total = _emit_violations(
         bundle["viol"], ("davenport-order-bound", "davenport-cyclic-equality")
     )
@@ -1047,7 +972,7 @@ def verify_all(
     for n in range(1, n_max + 1):
         reports.append(verify_corollary_short_zero_sum(n, **common))
     for n in range(2, min(sumset_n_max, n_max) + 1):
-        reports.append(verify_sumset_lemmas(AbelianGroup((n,)), k_max, **common))
+        reports.append(verify_sumset_lemmas(AbelianGroup((n,)), k_max, shards=shards, budget=budget))
     for n in range(2, min(egz_n_max, n_max) + 1):
         reports.append(verify_egz(n, **common))
     dav = davenport_max_order if davenport_max_order is not None else min(n_max, DAVENPORT_TABLE_CAP)

@@ -1,38 +1,44 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and test-only helpers for the test suite.
 
-These deliberately avoid the library's DP machinery: every subsequence
-is enumerated through subset bitmasks and orbit counts come from
+The oracles deliberately avoid the library's DP machinery: every
+subsequence is enumerated outright and orbit counts come from
 Burnside's formula, so any agreement with the fast paths is meaningful.
-packed_pairs only decodes the packed layout of sums.cyclic_add_residue.
+packed_pairs only decodes the packed layout of sums.packed_translator.
+The unit action, its orbit representative and the units of a quadratic
+order live here because only the tests use them.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import gcd
 from operator import add, mod
 
-from zerosum.groups import AbelianGroup, Element, ZSequence
+from zerosum import quad
+from zerosum.errors import InvalidElementError, UnsupportedSymmetryError
+from zerosum.groups import AbelianGroup, Element, ZSequence, units
 
 
 def brute_sigma(seq: ZSequence) -> dict[Element, int]:
     """Sum -> minimal realising length, over all nonempty subsequences.
 
-    Walks every subset bitmask, reusing the sum of the mask with its
-    lowest bit removed; no sharing with the library's staged tables.
-    Elements are added coordinatewise here, not through the validating
-    library call.
+    Walks every sub-multiset: each distinct entry is taken 0 to
+    multiplicity times, in every combination, so a long sequence with
+    few distinct entries stays cheap.  Elements are added coordinatewise
+    here, not through the validating library call; nothing is shared
+    with the library's packed sums.
     """
-    group = seq.group
-    factors = group.factors
+    factors = seq.group.factors
+    choices = [
+        [(j, tuple(j * c % n for c, n in zip(g, factors))) for j in range(seq.multiplicity(g) + 1)]
+        for g in seq.support
+    ]
     out: dict[Element, int] = {}
-    entries = seq.entries
-    by_mask = [group.identity] * (1 << len(entries))
-    for mask in range(1, 1 << len(entries)):
-        low = mask & -mask
-        acc = tuple(map(mod, map(add, by_mask[mask ^ low], entries[low.bit_length() - 1]), factors))
-        by_mask[mask] = acc
-        k = mask.bit_count()
+    for pick in product(*choices):
+        k = sum(j for j, _ in pick)
+        if not k:
+            continue
+        acc = tuple(sum(coords) % n for coords, n in zip(zip(*(v for _, v in pick)), factors))
         if out.get(acc, k + 1) > k:
             out[acc] = k
     return out
@@ -66,33 +72,42 @@ def brute_davenport(group: AbelianGroup) -> int:
     return best + 1
 
 
-def _subset_length_sums(n: int, values) -> set[tuple[int, int]]:
-    """(size, sum mod n) of every subset, the empty one included."""
-    by_mask = [0] * (1 << len(values))
-    out = {(0, 0)}
-    for mask in range(1, 1 << len(values)):
+def _subset_length_sums(factors: tuple[int, ...], entries) -> set[tuple[int, Element]]:
+    """(size, sum) of every subset, the empty one included."""
+    by_mask = [(0,) * len(factors)] * (1 << len(entries))
+    out = {(0, by_mask[0])}
+    for mask in range(1, 1 << len(entries)):
         low = mask & -mask
-        acc = (by_mask[mask ^ low] + values[low.bit_length() - 1]) % n
+        acc = tuple(map(mod, map(add, by_mask[mask ^ low], entries[low.bit_length() - 1]), factors))
         by_mask[mask] = acc
         out.add((mask.bit_count(), acc))
     return out
 
 
-def brute_length_sums(n: int, values) -> set[tuple[int, int]]:
-    """Every (L, r) such that some L of the residues sum to r mod n.
+def brute_length_sums(group: AbelianGroup, entries) -> set[tuple[int, int]]:
+    """Every (L, v) such that some L of the entries sum to the element of
+    index v (mixed radix, the last factor least significant).
 
     Enumerates the subsets of each half of the input by bitmask and
     pairs them up, so 2n-1 residues stay cheap at n = 12.
     """
-    half = len(values) // 2
-    left = _subset_length_sums(n, values[:half])
-    right = _subset_length_sums(n, values[half:])
-    return {(a + b, (r + s) % n) for a, r in left for b, s in right}
+    factors = group.factors
+    half = len(entries) // 2
+    left = _subset_length_sums(factors, entries[:half])
+    right = _subset_length_sums(factors, entries[half:])
+    out = set()
+    for a, r in left:
+        for b, s in right:
+            index = 0
+            for x, y, n in zip(r, s, factors):
+                index = index * n + (x + y) % n
+            out.add((a + b, index))
+    return out
 
 
-def packed_pairs(n: int, packed: int) -> set[tuple[int, int]]:
-    """Decode packed subset sums: bit L*n + r becomes the pair (L, r)."""
-    return {divmod(bit, n) for bit in range(packed.bit_length()) if packed >> bit & 1}
+def packed_pairs(order: int, packed: int) -> set[tuple[int, int]]:
+    """Decode packed subset sums: bit L*|G| + v becomes the pair (L, v)."""
+    return {divmod(bit, order) for bit in range(packed.bit_length()) if packed >> bit & 1}
 
 
 def burnside_orbit_count(n: int) -> int:
@@ -124,3 +139,53 @@ def burnside_orbit_count(n: int) -> int:
     count, rest = divmod(total, len(unit_list))
     assert rest == 0, "Burnside sum not divisible by phi(n)"
     return count
+
+
+# ---------------------------------------------------------------------------
+# the unit action on sequences over Z_n, and units of quadratic orders
+
+
+def unit_multiply(group: AbelianGroup, u: int, seq: ZSequence) -> ZSequence:
+    """Image of a sequence under entrywise multiplication by a unit u."""
+    _require_cyclic_rank_one(group)
+    n = group.factors[0]
+    if gcd(u, n) != 1:
+        raise InvalidElementError(f"{u} is not a unit mod {n}")
+    return ZSequence.from_iterable(group, ((u * g[0]) % n for g in seq))
+
+
+def canonical_orbit_representative(group: AbelianGroup, seq: ZSequence) -> ZSequence:
+    """Lexicographically least sorted multiset among all unit multiples u*S."""
+    _require_cyclic_rank_one(group)
+    n = group.factors[0]
+    base = tuple(g[0] for g in seq.entries)
+    best = base
+    for u in units(n):
+        if u == 1:
+            continue
+        image = tuple(sorted((u * x) % n for x in base))
+        if image < best:
+            best = image
+    return ZSequence(group, tuple((x,) for x in best))
+
+
+def _require_cyclic_rank_one(group: AbelianGroup) -> None:
+    # the unit action is only wired up for a single cyclic factor; a
+    # product like Z2xZ3 is abstractly cyclic but its presentation is not
+    if group.rank != 1:
+        raise UnsupportedSymmetryError(
+            f"unit-orbit reduction needs a single cyclic factor, got {group}"
+        )
+
+
+def units_of(order: quad.QuadOrder) -> tuple[quad.Element, ...]:
+    if order.d == 1:
+        return ((1, 0), (-1, 0), (0, 1), (0, -1))
+    if order.d == 3:
+        # sixth roots of unity; w = (1+sqrt(-3))/2 is a primitive one
+        return ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    return ((1, 0), (-1, 0))
+
+
+def associates(order: quad.QuadOrder, alpha: quad.Element) -> tuple[quad.Element, ...]:
+    return tuple(quad.elem_mul(order, u, alpha) for u in units_of(order))

@@ -12,7 +12,7 @@ import random
 import time
 from math import comb
 
-from conftest import brute_davenport, brute_sigma, burnside_orbit_count
+from conftest import associates, brute_davenport, brute_sigma, burnside_orbit_count
 from zerosum import cli, quad, sums, verify
 from zerosum.groups import AbelianGroup, ZSequence, groups_of_order
 from zerosum.sums import INFINITY
@@ -201,7 +201,7 @@ def test_criterion_08_quadratic_field_battery():
     prod = quad.ideal_mul(O, quad.ideal_pow(O, p1, 2), p3)
     gen = quad.is_principal(O, prod)
     ok &= gen is not None and quad.norm(O, gen) == 75
-    ok &= (-7, -1) in quad.associates(O, gen)
+    ok &= (-7, -1) in associates(O, gen)
     ok &= quad.is_irreducible(O, gen)
     res = quad.find_short_principal_product(O, [p1, p1, p1, p2, p3, p3])
     ok &= len(res.indices) == 3 and res.bound == 4 and res.support == 3
@@ -254,9 +254,11 @@ def test_criterion_10_shard_determinism():
 
 
 # sha256 of reports_to_json(verify_all(11, davenport_max_order=16),
-# include_elapsed=False) before the scans moved to packed subset sums;
-# a change here needs a stated reason, not a new digest
-BUNDLE11_SHA256 = "215a06addff47d5e1ec0eda0a77b99e8eb0ba37d9d3eca7c126ddfca82b8e0b7"
+# include_elapsed=False); a change here needs a stated reason, not just a
+# new digest.  It last changed when the zero-sum-free scan dropped orbit
+# reduction: the nine sumset-growth reports now read orbit_reduced false
+# and canonical_instances equal to instances_checked, and nothing else moved.
+BUNDLE11_SHA256 = "504419e3651b8134a3291384442a028b47e3c7fc9f43ad47b125e77943cfd1f1"
 
 
 def test_bundle11_json_matches_recorded_digest():

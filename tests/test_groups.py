@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import canonical_orbit_representative, unit_multiply
 from zerosum.errors import InvalidElementError, ParseError, UnsupportedSymmetryError
 from zerosum.groups import (
     AbelianGroup,
     ZSequence,
-    canonical_orbit_representative,
     element_add,
     element_neg,
     element_order,
@@ -20,7 +20,6 @@ from zerosum.groups import (
     parse_entries,
     parse_group,
     parse_sequence,
-    unit_multiply,
     units,
 )
 

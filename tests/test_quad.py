@@ -8,6 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import associates, units_of
 from zerosum import quad
 from zerosum.errors import (
     ArityError,
@@ -26,7 +27,7 @@ O23 = quad.QuadOrder(23)
 def canonical_associate(order: quad.QuadOrder, alpha: quad.Element) -> quad.Element:
     """Deterministic representative among unit multiples: prefer x > 0,
     then y >= 0, then the largest coordinates."""
-    return max(quad.associates(order, alpha), key=lambda e: (e[0] > 0, e[1] >= 0, e[0], e[1]))
+    return max(associates(order, alpha), key=lambda e: (e[0] > 0, e[1] >= 0, e[0], e[1]))
 
 
 def parse_quad_element(text: str) -> quad.Element:
@@ -74,20 +75,20 @@ def test_norm_is_multiplicative(d, a, b):
 
 
 def test_units_and_canonical_associate():
-    assert len(quad.units_of(quad.QuadOrder(1))) == 4
-    assert len(quad.units_of(quad.QuadOrder(3))) == 6
-    assert quad.units_of(O26) == ((1, 0), (-1, 0))
-    for u in quad.units_of(quad.QuadOrder(3)):
+    assert len(units_of(quad.QuadOrder(1))) == 4
+    assert len(units_of(quad.QuadOrder(3))) == 6
+    assert units_of(O26) == ((1, 0), (-1, 0))
+    for u in units_of(quad.QuadOrder(3)):
         assert quad.norm(quad.QuadOrder(3), u) == 1
     assert canonical_associate(O26, (-7, -1)) == (7, 1)
     assert canonical_associate(O26, (7, 1)) == (7, 1)
-    assert (-7, -1) in quad.associates(O26, (7, 1))
+    assert (-7, -1) in associates(O26, (7, 1))
     # the unit multiples of an element are closed under the unit group
     for d in (1, 3, 26):
         order = quad.QuadOrder(d)
         for alpha in ((7, 1), (-2, 5), (0, -3)):
             rep = canonical_associate(order, alpha)
-            assert all(canonical_associate(order, e) == rep for e in quad.associates(order, alpha))
+            assert all(canonical_associate(order, e) == rep for e in associates(order, alpha))
 
 
 def test_format_element():

@@ -4,23 +4,32 @@ cross-checked against exponential brute force."""
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_davenport, brute_length_sums, brute_mz, brute_sigma, packed_pairs
+from conftest import (
+    brute_davenport,
+    brute_length_sums,
+    brute_mz,
+    brute_sigma,
+    packed_pairs,
+    unit_multiply,
+)
+from zerosum import sums
 from zerosum.errors import BudgetExceededError
-from zerosum.groups import AbelianGroup, ZSequence, parse_sequence
+from zerosum.groups import AbelianGroup, ZSequence, element_add, parse_sequence
 from zerosum.sums import (
     DENSE_ORDER_CAP,
     INFINITY,
     cyclic_add_residue,
     cyclic_rotation_masks,
-    cyclic_zero_sum_of_size,
     davenport,
     has_zero_sum_of_size,
     is_zero_sum_free,
     mz,
+    packed_translator,
     support_size,
     sumset,
 )
@@ -34,8 +43,18 @@ def seq_of(n: int, values) -> ZSequence:
     return ZSequence.from_iterable(AbelianGroup((n,)), [(v,) for v in values])
 
 
-def packed_sums(n: int, values, blocks: int) -> int:
-    """Fold the packed step over values, keeping lengths 0..blocks."""
+def packed_sums(group: AbelianGroup, entries, blocks: int) -> int:
+    """Fold the packed step over entries, keeping lengths 0..blocks."""
+    translate = packed_translator(group, blocks)
+    below = (1 << blocks * group.order) - 1
+    x = 1
+    for g in entries:
+        x |= translate(x & below, g) << group.order
+    return x
+
+
+def cyclic_packed_sums(n: int, values, blocks: int) -> int:
+    """The same fold through the Z_n scans' rank-1 step."""
     lo, hi = cyclic_rotation_masks(n, blocks)
     x = 1
     for v in values:
@@ -171,41 +190,133 @@ def test_zero_sum_free_iff_mz_infinite():
         assert is_zero_sum_free(seq) == (mz(seq).value == INFINITY)
 
 
+NONCYCLIC_CASES = [
+    ((2, 2), [(1, 0), (0, 1), (1, 1)]),
+    ((2, 4), [(1, 1), (1, 3), (0, 2), (0, 2), (0, 0)]),
+    ((3, 3), [(1, 0), (1, 0), (1, 0), (0, 1), (2, 2)]),
+    ((2, 2, 2), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+]
+
+
 def test_cyclic_helpers_agree_with_library():
-    for n, values in FIXED_CASES:
-        seq = seq_of(n, values)
-        k = len(values)
-        pairs = packed_pairs(n, packed_sums(n, values, k))
-        # least nonempty length per residue is exactly sumset's table
+    seqs = [seq_of(n, values) for n, values in FIXED_CASES]
+    seqs += [ZSequence.from_iterable(AbelianGroup(f), entries) for f, entries in NONCYCLIC_CASES]
+    for seq in seqs:
+        group = seq.group
+        k = len(seq)
+        packed = packed_sums(group, seq.entries, k)
+        pairs = packed_pairs(group.order, packed)
+        # least nonempty length per element is exactly sumset's table
         least: dict[int, int] = {}
-        for length, r in sorted(pairs):
+        for length, v in sorted(pairs):
             if length:
-                least.setdefault(r, length)
-        assert {(r,): length for r, length in least.items()} == dict(sumset(seq).lengths)
+                least.setdefault(v, length)
+        assert {group.element_at(v): length for v, length in least.items()} == dict(sumset(seq).lengths)
         assert least.get(0, INFINITY) == mz(seq).value
         for size in range(1, k + 1):
-            expect = has_zero_sum_of_size(seq, size)
-            assert ((size, 0) in pairs) == expect
-            assert cyclic_zero_sum_of_size(n, values, size) == expect
+            assert ((size, 0) in pairs) == has_zero_sum_of_size(seq, size)
+        if group.rank == 1:
+            # the Z_n scans' inlined step is the rank-1 case of the same step
+            assert cyclic_packed_sums(group.order, [g[0] for g in seq], k) == packed
 
 
-@settings(max_examples=120, deadline=None)
+PACKED_GROUPS = [(n,) for n in range(2, 13)] + [(2, 2), (2, 4), (3, 3), (2, 3), (2, 2, 2)]
+
+
+@settings(max_examples=160, deadline=None)
 @given(st.data())
 def test_packed_step_matches_subset_enumeration(data):
-    n = data.draw(st.integers(min_value=2, max_value=12))
-    # 0 and n-1 (the widest wrap-around) are drawn far more often
-    residue = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
-    values = data.draw(st.lists(residue, max_size=2 * n - 1))
-    k = len(values)
-    expect = brute_length_sums(n, values)
-    got = packed_sums(n, values, k)
-    assert got >> ((k + 1) * n) == 0
-    assert packed_pairs(n, got) == expect
-    # cut at n blocks, as the length 2n-1 scan keeps it: the bits of
-    # lengths 0..n survive unchanged and nothing lands above them
-    cut = packed_sums(n, values, n)
-    assert cut == got & ((1 << ((n + 1) * n)) - 1)
-    assert packed_pairs(n, cut) == {(L, r) for L, r in expect if L <= n}
+    group = AbelianGroup(data.draw(st.sampled_from(PACKED_GROUPS)))
+    order = group.order
+    # the identity and the element with every digit at its top (the widest
+    # wrap-around of each digit) are drawn far more often
+    widest = group.element_at(order - 1)
+    element = st.one_of(
+        st.sampled_from([group.identity, widest]),
+        st.integers(0, order - 1).map(group.element_at),
+    )
+    entries = data.draw(st.lists(element, max_size=min(2 * order - 1, 23)))
+    k = len(entries)
+    expect = brute_length_sums(group, entries)
+    got = packed_sums(group, entries, k)
+    assert got >> ((k + 1) * order) == 0
+    assert packed_pairs(order, got) == expect
+    # cut at |G| blocks, as the length 2n-1 scan keeps it: the bits of
+    # lengths 0..|G| survive unchanged and nothing lands above them
+    cut = packed_sums(group, entries, order)
+    assert cut == got & ((1 << ((order + 1) * order)) - 1)
+    assert packed_pairs(order, cut) == {(L, v) for L, v in expect if L <= order}
+    if group.rank == 1:
+        values = [g[0] for g in entries]
+        assert cyclic_packed_sums(order, values, k) == got
+        assert cyclic_packed_sums(order, values, order) == cut
+    # one translation moves every block below the top and drops the rest
+    translate = packed_translator(group, k)
+    for g in set(entries) - {group.identity}:
+        moved = {(L, group.index_of(element_add(group, group.element_at(v), g))) for L, v in expect if L < k}
+        assert packed_pairs(order, translate(got, g)) == moved
+
+
+ORACLE_GROUPS = [(n,) for n in range(1, 13)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)]
+# sub-multisets the brute-force oracle may walk per sequence
+ORACLE_SUBSETS = 1 << 13
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_layers_match_brute_force_any_rank(data):
+    group = AbelianGroup(data.draw(st.sampled_from(ORACLE_GROUPS)))
+    top = 3 * group.order // 2 + 2
+    support = data.draw(
+        st.lists(st.integers(0, group.order - 1), unique=True, max_size=min(group.order, 13))
+    )
+    # few distinct entries allow long multiplicities (a constant sequence
+    # reaches length 1.5|G| + 2), many force short ones
+    cap = max(1, int(ORACLE_SUBSETS ** (1 / max(1, len(support)))) - 1)
+    entries = []
+    for v in support:
+        room = top - len(entries)
+        if room <= 0:
+            break
+        entries += [group.element_at(v)] * data.draw(st.integers(1, min(cap, room)))
+    seq = ZSequence.from_iterable(group, entries)
+    expect = brute_sigma(seq)
+    assert dict(sumset(seq).lengths) == expect
+    result = mz(seq)
+    m = expect.get(group.identity)
+    assert result.value == (INFINITY if m is None else m)
+    if m is None:
+        assert result.witness is None
+    else:
+        w = result.witness
+        assert len(w) == m and w.total() == group.identity
+        assert all(w.multiplicity(g) <= seq.multiplicity(g) for g in w.support)
+        if len(seq) <= 12:
+            # the witness rule keeps an entry only when the target needs it,
+            # so its positions are the zero-sum set of size m whose largest
+            # position is least, then its next largest, and so on
+            zero_sets = [
+                idx
+                for idx in combinations(range(len(seq)), m)
+                if ZSequence.from_iterable(group, (seq.entries[i] for i in idx)).total() == group.identity
+            ]
+            best = min(zero_sets, key=lambda idx: idx[::-1])
+            assert w.entries == tuple(seq.entries[i] for i in best)
+    exact = brute_length_sums(group, seq.entries)
+    for size in range(len(seq) + 2):
+        assert has_zero_sum_of_size(seq, size) == (size >= 1 and (size, 0) in exact)
+
+
+def test_mz_witness_refuses_above_bit_cap(monkeypatch):
+    # the witness replays k * m * |G| bits: here 6 * 6 * 6
+    seq = seq_of(6, [1] * 6)
+    monkeypatch.setattr(sums, "WITNESS_BIT_CAP", 6 * 6 * 6)
+    assert mz(seq).witness == seq
+    monkeypatch.setattr(sums, "WITNESS_BIT_CAP", 6 * 6 * 6 - 1)
+    with pytest.raises(BudgetExceededError):
+        mz(seq)
+    # a zero-sum-free sequence needs no witness and is never refused
+    assert mz(seq_of(6, [1] * 5)).value == INFINITY
 
 
 def test_dense_routines_refuse_order_above_cap():
@@ -222,7 +333,7 @@ def test_dense_routines_refuse_order_above_cap():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_unit_action_preserves_invariants(data):
-    from zerosum.groups import unit_multiply, units
+    from zerosum.groups import units
 
     n = data.draw(st.sampled_from([5, 6, 8, 12]))
     group = AbelianGroup((n,))

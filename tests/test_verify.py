@@ -12,11 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_length_sums, burnside_orbit_count, packed_pairs
+from conftest import (
+    all_multisets,
+    brute_length_sums,
+    brute_mz,
+    burnside_orbit_count,
+    canonical_orbit_representative,
+    packed_pairs,
+)
 import zerosum
-from zerosum import verify
-from zerosum.errors import BudgetExceededError, UnsupportedSymmetryError
-from zerosum.groups import AbelianGroup, ZSequence, canonical_orbit_representative
+from zerosum import sums, verify
+from zerosum.errors import BudgetExceededError
+from zerosum.groups import AbelianGroup, ZSequence
 
 
 @pytest.fixture(autouse=True)
@@ -76,7 +83,7 @@ def test_walk_packed_leaves_match_subset_enumeration():
         def leaf(packed, combo, counts, cover):
             assert cover == 1
             assert counts == [combo.count(v) for v in range(n)]
-            want = {(L, r) for L, r in brute_length_sums(n, combo) if L <= n}
+            want = {(L, r) for L, r in brute_length_sums(AbelianGroup((n,)), [(v,) for v in combo]) if L <= n}
             assert packed_pairs(n, packed) == want
             seen.append(tuple(combo))
 
@@ -119,7 +126,7 @@ def _canonical_with_orbit_sizes(n: int, length: int) -> list:
     """(sequence, orbit size) for each canonical sequence, in lexicographic order.
 
     Independent of the walk: an orbit is the set of distinct sorted images
-    u*S, and its canonical member is what the library's representative
+    u*S, and its canonical member is what the tests' representative
     returns for the first member met.  The representative is orbit
     invariant (see test_groups), so a member of the orbit is canonical,
     that is mapped to itself, exactly when it is that representative.
@@ -180,13 +187,15 @@ def test_walk_packed_orbit_mode_visits_exactly_the_canonical_sequences():
 
 def test_scan_cache_ignores_shard_count(monkeypatch):
     calls = []
-    real = verify._run_workers
+    scans = ("_scan_length_n", "_scan_egz", "_scan_zero_sum_free", "_davenport_rows")
+    for name in scans:
+        real = getattr(verify, name)
 
-    def counting(worker, arg_list):
-        calls.append(worker.__name__)
-        return real(worker, arg_list)
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(verify, "_run_workers", counting)
+        monkeypatch.setattr(verify, name, counting)
     runs = [
         lambda shards: verify.verify_thm_main(6, shards=shards),
         lambda shards: verify.verify_egz(4, shards=shards),
@@ -197,7 +206,7 @@ def test_scan_cache_ignores_shard_count(monkeypatch):
         first = run(1).to_json(include_elapsed=False)
         again = run(2).to_json(include_elapsed=False)
         assert first == again
-    assert calls == ["_scan_length_n", "_scan_egz", "_scan_zero_sum_free", "_davenport_rows"]
+    assert calls == list(scans)
 
 
 def test_pool_threshold_picks_chunks(monkeypatch):
@@ -205,35 +214,26 @@ def test_pool_threshold_picks_chunks(monkeypatch):
     real = verify._run_workers
 
     def recording(worker, arg_list):
-        # the range is the last argument but the orbit flag, or the only one
-        chunks.setdefault(worker.__name__, []).append([a[-2] if len(a) > 1 else a[0] for a in arg_list])
+        # each argument is (n, rank range, orbit flag)
+        chunks.setdefault(worker.__name__, []).append([a[1] for a in arg_list])
         return real(worker, arg_list)
 
     monkeypatch.setattr(verify, "_run_workers", recording)
     # the default keeps every small scan in one chunk, whatever shards says
     verify.verify_thm_main(9, shards=4)
     verify.verify_egz(6, shards=4)
-    verify.verify_sumset_lemmas(AbelianGroup((8,)), shards=4)
-    verify.verify_davenport_table(16, shards=4)
     assert chunks == {
         "_scan_length_n": [[(0, comb(17, 9))]],
         "_scan_egz": [[(0, comb(16, 5))]],
-        "_scan_zero_sum_free": [[(1, 8)]],
-        "_davenport_rows": [[(1, 17)]],
     }
-    # from the threshold up, the cyclic scans get equal rank ranges and
-    # the zero-sum-free scan a first-entry split; Z8 with k_max = 6 has a
-    # raw space of 1,715, one below
+    # from the threshold up, the cyclic scans get equal rank ranges
     verify.clear_caches()
     chunks.clear()
     monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", comb(13, 7))
     verify.verify_thm_main(7, shards=3)
     verify.verify_thm_main(6, shards=3)
-    verify.verify_sumset_lemmas(AbelianGroup((8,)), 6, shards=3)
-    verify.verify_sumset_lemmas(AbelianGroup((9,)), 6, shards=3)
     assert chunks == {
         "_scan_length_n": [[(0, 572), (572, 1144), (1144, 1716)], [(0, 462)]],
-        "_scan_zero_sum_free": [[(1, 8)], [(1, 4), (4, 7), (7, 9)]],
     }
 
 
@@ -301,8 +301,27 @@ def test_sumset_growth_noncyclic_group_runs_raw():
     r = verify.verify_sumset_lemmas(AbelianGroup((2, 2)), k_max=4)
     assert r.passed
     assert r.orbit_reduced is False
-    with pytest.raises(UnsupportedSymmetryError):
-        verify.verify_sumset_lemmas(AbelianGroup((2, 2)), orbit_reduced=True)
+    # the scan has no orbit reduction to ask for, for any group
+    for factors in ((2, 2), (6,)):
+        with pytest.raises(TypeError):
+            verify.verify_sumset_lemmas(AbelianGroup(factors), orbit_reduced=True)
+
+
+@pytest.mark.parametrize(
+    "factors,k_max",
+    [((n,), min(5, n + 1)) for n in range(2, 10)] + [((2, 2), 4), ((2, 4), 5), ((3, 3), 5)],
+)
+def test_sumset_growth_counts_every_zero_sum_free_multiset(factors, k_max):
+    group = AbelianGroup(factors)
+    expect = sum(
+        1
+        for k in range(1, k_max + 1)
+        for combo in all_multisets(group, k)
+        if brute_mz(ZSequence.from_iterable(group, combo)) is None
+    )
+    r = verify.verify_sumset_lemmas(group, k_max)
+    assert r.passed
+    assert r.instances_checked == r.details["canonical_instances"] == expect
 
 
 def test_egz_frozen_numbers():
@@ -385,13 +404,13 @@ def test_reports_serialize_to_canonical_json():
 
 
 def test_shard_counts_agree_byte_for_byte(monkeypatch):
-    # threshold 0: these small scans still go through worker processes
+    # threshold 0: the small Z_n scans still go through worker processes
     monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", 0)
     pooled = []
     real = verify._run_workers
 
     def recording(worker, arg_list):
-        pooled.append(len(arg_list))
+        pooled.append((worker.__name__, len(arg_list)))
         return real(worker, arg_list)
 
     monkeypatch.setattr(verify, "_run_workers", recording)
@@ -403,11 +422,13 @@ def test_shard_counts_agree_byte_for_byte(monkeypatch):
             verify.verify_extremal_structure(7, shards=shards),
             verify.verify_egz(5, shards=shards),
             verify.verify_sumset_lemmas(AbelianGroup((8,)), shards=shards),
+            verify.verify_davenport_table(8, shards=shards),
         ]
         outs.append(verify.reports_to_json(reports, include_elapsed=False))
     assert outs[0] == outs[1] == outs[2] == outs[3]
-    # length-n, egz, zero-sum-free per shard count; Z8 has 7 first entries
-    assert pooled == [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8, 7]
+    # length-n and egz per shard count; the zero-sum-free scan and the
+    # Davenport table never start a pool
+    assert pooled == [(name, k) for k in (1, 2, 4, 8) for name in ("_scan_length_n", "_scan_egz")]
 
 
 def test_orbit_toggle_does_not_change_findings():
@@ -453,3 +474,18 @@ def test_violation_rows_sorted_and_truncated(monkeypatch):
     assert r.violations_total > 100
     keys = [(row["law"], tuple(row["sequence"])) for row in r.violations]
     assert keys == sorted(keys)
+
+
+def test_violation_rows_are_the_smallest_whatever_the_visit_order(monkeypatch):
+    # sum sets that never grow past the entries themselves break the growth
+    # laws thousands of times; the rows kept must be the smallest by the
+    # report's sort key, not the first met by the level-wise scan
+    monkeypatch.setattr(sums, "packed_translator", lambda group, blocks=1: lambda x, g: 0)
+    kept = verify.verify_sumset_lemmas(AbelianGroup((8,)), 6)
+    verify.clear_caches()
+    monkeypatch.setattr(verify, "VIOLATION_LIMIT", 10**6)
+    full = verify.verify_sumset_lemmas(AbelianGroup((8,)), 6)
+    assert kept.violations_total == full.violations_total == len(full.violations)
+    first_law = full.violations[0]["law"]
+    assert sum(row["law"] == first_law for row in full.violations) > 100
+    assert kept.violations == full.violations[:100]
