@@ -14,7 +14,6 @@ from .errors import (
     InvalidIdealError,
     ParseError,
     StructureError,
-    UnsupportedSymmetryError,
     ZerosumError,
 )
 from .groups import (

@@ -26,16 +26,7 @@ from .groups import (
 )
 from .sums import INFINITY
 
-VERIFY_STATEMENTS = (
-    "all",
-    "support-bound",
-    "full-length-constant",
-    "extremal-structure",
-    "short-zero-sum",
-    "sumset-growth",
-    "egz",
-    "davenport-table",
-)
+VERIFY_STATEMENTS = ("all", *verify.STATEMENTS)
 
 
 def _element_json(group: AbelianGroup, g: Element):
@@ -162,45 +153,16 @@ def cmd_davenport(args: argparse.Namespace) -> int:
 
 
 def _verify_reports(args: argparse.Namespace) -> list[verify.VerificationReport]:
-    shards = args.shards
-    budget = args.budget
-    n_max = args.n_max
     statement = args.statement
     if args.n is not None and statement in ("all", "davenport-table"):
         raise ZerosumError(f"--n does not apply to '{statement}'; use --n-max")
     if statement == "all":
-        return verify.verify_all(n_max, shards=shards, budget=budget)
-
-    def ns(lo: int, cap: int | None = None) -> list[int]:
-        if args.n is not None:
-            return [args.n]
-        hi = n_max if cap is None else min(n_max, cap)
-        return list(range(lo, hi + 1))
-
-    if statement == "support-bound":
-        return [verify.verify_thm_main(n, shards=shards, budget=budget) for n in ns(2)]
-    if statement == "full-length-constant":
-        return [verify.verify_prop_all_equal(n, shards=shards, budget=budget) for n in ns(1)]
-    if statement == "extremal-structure":
-        return [verify.verify_extremal_structure(n, shards=shards, budget=budget) for n in ns(2)]
-    if statement == "short-zero-sum":
-        return [
-            verify.verify_corollary_short_zero_sum(n, shards=shards, budget=budget)
-            for n in ns(1)
-        ]
-    if statement == "sumset-growth":
-        if args.group is not None:
-            groups = [parse_group(args.group)]
-        else:
-            groups = [AbelianGroup((n,)) for n in ns(2, cap=10)]
-        return [
-            verify.verify_sumset_lemmas(g, shards=shards, budget=budget) for g in groups
-        ]
-    if statement == "egz":
-        return [verify.verify_egz(n, shards=shards, budget=budget) for n in ns(2, cap=6)]
-    if statement == "davenport-table":
-        return [verify.verify_davenport_table(min(n_max, 16), shards=shards)]
-    raise ZerosumError(f"unknown statement {statement!r}")
+        return verify.verify_all(args.n_max, shards=args.shards, budget=args.budget)
+    if statement == "sumset-growth" and args.group is not None:
+        return [verify.verify_sumset_lemmas(parse_group(args.group), budget=args.budget)]
+    return verify.verify_statement(
+        statement, args.n_max, n=args.n, shards=args.shards, budget=args.budget
+    )
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -17,10 +17,6 @@ class InvalidIdealError(ZerosumError, ValueError):
     """Ideal data does not describe a nonzero integral ideal of the order."""
 
 
-class UnsupportedSymmetryError(ZerosumError, ValueError):
-    """Orbit reduction requested for a group whose unit action is not implemented."""
-
-
 class BudgetExceededError(ZerosumError, RuntimeError):
     """Requested enumeration is larger than the configured desk-scale budget."""
 

@@ -307,7 +307,7 @@ def cyclic_add_residue(x: int, v: int, n: int, lo: list[int], hi: list[int]) -> 
 # ---------------------------------------------------------------------------
 
 
-def davenport(group: AbelianGroup, order_cap: int = DAVENPORT_ORDER_CAP) -> DavenportResult:
+def davenport(group: AbelianGroup) -> DavenportResult:
     """Davenport constant of the group, with a longest zero-sum-free witness.
 
     Depth-first search over non-decreasing sequences of nonidentity
@@ -317,9 +317,9 @@ def davenport(group: AbelianGroup, order_cap: int = DAVENPORT_ORDER_CAP) -> Dave
     best length found.  The witness is the first maximal sequence in
     search order, so results are deterministic.
     """
-    if group.order > order_cap:
+    if group.order > DAVENPORT_ORDER_CAP:
         raise BudgetExceededError(
-            f"zero-sum-free search needs |G| <= {order_cap}, got {group.order}"
+            f"zero-sum-free search needs |G| <= {DAVENPORT_ORDER_CAP}, got {group.order}"
         )
     order = group.order
     elements = list(group.elements())

@@ -2,9 +2,12 @@
 
 Each checker enumerates a complete desk-scale instance space, evaluates
 one family of statements on every instance, and returns a report with
-counts, violations, and witnesses.  The expensive enumerations (all
-length-n multisets over Z_n) are run once per (n, options) and shared
-by the checkers that read different statements off the same pass.
+counts, violations, and witnesses.  The two scans over Z_n go through
+one bundle builder, _zn_bundle, which runs each once per (scan, n,
+orbit) and caches the merged result; the checkers read their statements
+off it through one report builder, _zn_report.
+STATEMENTS lists every statement with its checker and its range of
+orders, and both verify_all and the CLI take those ranges from there.
 
 A scan whose raw space (the count its budget check computes) is below
 POOL_MIN_INSTANCES runs in the calling process whatever `shards` says;
@@ -60,7 +63,7 @@ from math import comb, gcd
 from operator import itemgetter
 
 from . import sums
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DomainError
 from .groups import AbelianGroup, ZSequence, element_neg, groups_of_order, units
 
 # raw enumeration cap; C(2n-1, n) <= 10^7 keeps runs at minutes
@@ -492,28 +495,30 @@ def _scan_length_n(args: tuple) -> dict:
     return out
 
 
-def _merge_length_n(bundles: list[dict]) -> dict:
-    out = {
-        "instances": 0,
-        "canonical": 0,
-        "slice_nm1": 0,
-        "slice_nm2": 0,
-        "full_instances": 0,
-        "full_witnesses": [],
-        "realized": {},
-        "first_tight": {},
-        "viol": _merge_violation_buckets([b["viol"] for b in bundles]),
-    }
-    for b in bundles:
-        for key in ("instances", "canonical", "slice_nm1", "slice_nm2", "full_instances"):
-            out[key] += b[key]
-        for w in b["full_witnesses"]:
-            if len(out["full_witnesses"]) < WITNESS_LIMIT:
-                out["full_witnesses"].append(w)
-        for s, cover in b["realized"].items():
-            out["realized"][s] = out["realized"].get(s, 0) + cover
-        for s, w in b["first_tight"].items():
-            out["first_tight"].setdefault(s, w)
+def _merge_scans(bundles: list[dict]) -> dict:
+    """Shard results of one Z_n scan, in shard order, as one result.
+
+    Integers add up, witness lists concatenate up to WITNESS_LIMIT, the
+    counts in realized add up, first_tight keeps the first shard's
+    witness, and violations merge by _merge_violation_buckets.
+    """
+    out = {}
+    for key in bundles[0]:
+        parts = [b[key] for b in bundles]
+        if key == "viol":
+            out[key] = _merge_violation_buckets(parts)
+        elif key == "realized":
+            out[key] = {}
+            for part in parts:
+                for s, cover in part.items():
+                    out[key][s] = out[key].get(s, 0) + cover
+        elif key == "first_tight":
+            # later shards are read first, so an earlier shard overwrites them
+            out[key] = {s: w for part in reversed(parts) for s, w in part.items()}
+        elif isinstance(parts[0], list):
+            out[key] = [w for part in parts for w in part][:WITNESS_LIMIT]
+        else:
+            out[key] = sum(parts)
     return out
 
 
@@ -526,26 +531,66 @@ def clear_caches() -> None:
     _scan_cache.clear()
 
 
-def _length_n_bundle(n: int, orbit: bool, shards: int, budget: int | None) -> dict:
-    key = ("length-n", n, orbit)
-    if key in _scan_cache:
-        return _scan_cache[key]
-    space = comb(2 * n - 1, n)
+def _zn_bundle(family: str, n: int, orbit: bool, shards: int, budget: int | None) -> dict:
+    """The merged result of one scan over Z_n, run once per (family, n, orbit).
+
+    family "length-n" walks the length-n sequences and "egz" those of
+    length 2n-1.  The budget is checked before the cache, so a scan is
+    refused under a budget below its raw space even when it ran before.
+    """
+    scan, length = (_scan_length_n, n) if family == "length-n" else (_scan_egz, 2 * n - 1)
+    space = comb(n + length - 1, length)
     cap = _effective_budget(budget)
     if space > cap:
-        raise BudgetExceededError(f"raw space C({2*n-1},{n}) = {space} exceeds budget {cap}")
-    chunks = _split_range(space, shards, space)
-    bundles = _run_workers(_scan_length_n, [(n, c, orbit) for c in chunks])
-    merged = _merge_length_n(bundles)
-    # orbit sizes must account for the raw space exactly
-    if merged["instances"] != space:
-        raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")
-    _scan_cache[key] = merged
-    return merged
+        raise BudgetExceededError(
+            f"raw space C({n + length - 1},{length}) = {space} exceeds budget {cap}"
+        )
+    key = (family, n, orbit)
+    if key not in _scan_cache:
+        chunks = _split_range(space, shards, space)
+        merged = _merge_scans(_run_workers(scan, [(n, c, orbit) for c in chunks]))
+        # orbit sizes must account for the raw space exactly
+        if merged["instances"] != space:
+            raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")
+        _scan_cache[key] = merged
+    return _scan_cache[key]
 
 
-def _resolve_orbit(orbit_reduced: bool | None) -> bool:
-    return True if orbit_reduced is None else orbit_reduced
+def _require_order(statement_id: str, n: int, name: str = "n") -> None:
+    floor = STATEMENTS[statement_id][1]
+    if n < floor:
+        raise DomainError(f"{statement_id} needs {name} >= {floor}, got {n}")
+
+
+def _zn_report(
+    statement_id: str,
+    family: str,
+    n: int,
+    laws: tuple[str, ...],
+    details,
+    orbit_reduced: bool,
+    shards: int,
+    budget: int | None,
+) -> VerificationReport:
+    """The report of one statement read off the `family` scan over Z_n.
+
+    details(bundle) gives the statement's own details; every report also
+    carries canonical_instances.
+    """
+    _require_order(statement_id, n)
+    t0 = time.perf_counter()
+    bundle = _zn_bundle(family, n, orbit_reduced, shards, budget)
+    rows, total = _emit_violations(bundle["viol"], laws)
+    return VerificationReport(
+        statement_id=statement_id,
+        parameters={"n": n},
+        instances_checked=bundle["instances"],
+        orbit_reduced=orbit_reduced,
+        violations=rows,
+        violations_total=total,
+        details={"canonical_instances": bundle["canonical"], **details(bundle)},
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +600,7 @@ def _resolve_orbit(orbit_reduced: bool | None) -> bool:
 def verify_thm_main(
     n: int,
     *,
-    orbit_reduced: bool | None = None,
+    orbit_reduced: bool = True,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -563,76 +608,63 @@ def verify_thm_main(
     length n-s has at most s+1 distinct entries.  The s=1 slice must hit
     exactly 2 distinct entries and the s=2 slice at most 3 (both n >= 3).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    orbit = _resolve_orbit(orbit_reduced)
-    t0 = time.perf_counter()
-    bundle = _length_n_bundle(n, orbit, shards, budget)
-    rows, total = _emit_violations(
-        bundle["viol"],
+
+    def details(bundle: dict) -> dict:
+        totals = bundle["viol"]["totals"]
+        return {
+            "slices": {
+                f"min-length-n-minus-{k}": {
+                    "instances": bundle[f"slice_nm{k}"],
+                    "violations": totals.get(f"min-length-n-minus-{k}-support", 0),
+                }
+                for k in (1, 2)
+            }
+        }
+
+    return _zn_report(
+        "support-bound",
+        "length-n",
+        n,
         ("support-bound", "min-length-n-minus-1-support", "min-length-n-minus-2-support"),
-    )
-    details = {
-        "canonical_instances": bundle["canonical"],
-        "slices": {
-            "min-length-n-minus-1": {
-                "instances": bundle["slice_nm1"],
-                "violations": bundle["viol"]["totals"].get("min-length-n-minus-1-support", 0),
-            },
-            "min-length-n-minus-2": {
-                "instances": bundle["slice_nm2"],
-                "violations": bundle["viol"]["totals"].get("min-length-n-minus-2-support", 0),
-            },
-        },
-    }
-    return VerificationReport(
-        statement_id="support-bound",
-        parameters={"n": n},
-        instances_checked=bundle["instances"],
-        orbit_reduced=orbit,
-        violations=rows,
-        violations_total=total,
-        details=details,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+        details,
+        orbit_reduced,
+        shards,
+        budget,
     )
 
 
 def verify_prop_all_equal(
     n: int,
     *,
-    orbit_reduced: bool | None = None,
+    orbit_reduced: bool = True,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
     """Full-length case: minimal zero-sum length exactly n forces a
     constant sequence g^n with g of order n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    orbit = _resolve_orbit(orbit_reduced)
-    t0 = time.perf_counter()
-    bundle = _length_n_bundle(n, orbit, shards, budget)
-    rows, total = _emit_violations(bundle["viol"], ("full-length-constant",))
-    details = {
-        "canonical_instances": bundle["canonical"],
-        "matching_instances": bundle["full_instances"],
-        "witnesses": bundle["full_witnesses"],
-    }
-    return VerificationReport(
-        statement_id="full-length-constant",
-        parameters={"n": n},
-        instances_checked=bundle["instances"],
-        orbit_reduced=orbit,
-        violations=rows,
-        violations_total=total,
-        details=details,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+
+    def details(bundle: dict) -> dict:
+        return {
+            "matching_instances": bundle["full_instances"],
+            "witnesses": bundle["full_witnesses"],
+        }
+
+    return _zn_report(
+        "full-length-constant",
+        "length-n",
+        n,
+        ("full-length-constant",),
+        details,
+        orbit_reduced,
+        shards,
+        budget,
     )
 
 
 def verify_extremal_structure(
     n: int,
     *,
-    orbit_reduced: bool | None = None,
+    orbit_reduced: bool = True,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -643,57 +675,43 @@ def verify_extremal_structure(
     multiplicity at least n-s; and for s=1, n >= 4 the sequence is
     a^(n-1) together with 2a for a generator a.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    orbit = _resolve_orbit(orbit_reduced)
-    t0 = time.perf_counter()
-    bundle = _length_n_bundle(n, orbit, shards, budget)
-    rows, total = _emit_violations(
-        bundle["viol"],
+
+    def details(bundle: dict) -> dict:
+        return {
+            "realized_s": {str(s): c for s, c in sorted(bundle["realized"].items())},
+            "witnesses": {str(s): w for s, w in sorted(bundle["first_tight"].items())},
+        }
+
+    return _zn_report(
+        "extremal-structure",
+        "length-n",
+        n,
         ("tight-support-range", "tight-support-multiplicity", "tight-support-shape"),
-    )
-    details = {
-        "canonical_instances": bundle["canonical"],
-        "realized_s": {str(s): c for s, c in sorted(bundle["realized"].items())},
-        "witnesses": {str(s): w for s, w in sorted(bundle["first_tight"].items())},
-    }
-    return VerificationReport(
-        statement_id="extremal-structure",
-        parameters={"n": n},
-        instances_checked=bundle["instances"],
-        orbit_reduced=orbit,
-        violations=rows,
-        violations_total=total,
-        details=details,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+        details,
+        orbit_reduced,
+        shards,
+        budget,
     )
 
 
 def verify_corollary_short_zero_sum(
     n: int,
     *,
-    orbit_reduced: bool | None = None,
+    orbit_reduced: bool = True,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
     """Support forces short zero-sums: a length-n sequence over Z_n with
     s distinct entries has a zero-sum subsequence of length <= n-s+1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    orbit = _resolve_orbit(orbit_reduced)
-    t0 = time.perf_counter()
-    bundle = _length_n_bundle(n, orbit, shards, budget)
-    rows, total = _emit_violations(bundle["viol"], ("short-zero-sum-bound",))
-    details = {"canonical_instances": bundle["canonical"]}
-    return VerificationReport(
-        statement_id="short-zero-sum",
-        parameters={"n": n},
-        instances_checked=bundle["instances"],
-        orbit_reduced=orbit,
-        violations=rows,
-        violations_total=total,
-        details=details,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    return _zn_report(
+        "short-zero-sum",
+        "length-n",
+        n,
+        ("short-zero-sum-bound",),
+        lambda bundle: {},
+        orbit_reduced,
+        shards,
+        budget,
     )
 
 
@@ -748,20 +766,18 @@ def verify_sumset_lemmas(
     group: AbelianGroup,
     k_max: int = 6,
     *,
-    shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
     """Sum-set growth over zero-sum-free multisets of length k <= k_max:
     at least k sums, at least k-1+supp sums, one-step growth of at least
     one per appended entry, and exactly k sums only for constant input.
 
-    The scan always runs in process and checks every multiset, so
-    `shards` changes nothing and the report is never orbit-reduced."""
+    The scan always runs in process and checks every multiset, so the
+    report is never orbit-reduced."""
     if k_max < 1:
-        raise ValueError("need k_max >= 1")
+        raise DomainError(f"sumset-growth needs k_max >= 1, got {k_max}")
     order = group.order
-    if order < 2:
-        raise ValueError("need a nontrivial group")
+    _require_order("sumset-growth", order, "|G|")
     cap = _effective_budget(budget)
     space = sum(comb(order - 2 + k, k) for k in range(1, k_max + 1))
     if space > cap:
@@ -816,61 +832,31 @@ def _scan_egz(args: tuple) -> dict:
 def verify_egz(
     n: int,
     *,
-    orbit_reduced: bool | None = None,
+    orbit_reduced: bool = True,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
     """Every multiset of 2n-1 residues mod n contains n of them summing
     to zero; the bound is sharp, witnessed by n-1 zeros with n-1 ones."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    orbit = _resolve_orbit(orbit_reduced)
-    cap = _effective_budget(budget)
-    space = comb(3 * n - 2, n - 1)
-    if space > cap:
-        raise BudgetExceededError(f"raw space {space} exceeds budget {cap}")
-    t0 = time.perf_counter()
-    key = ("egz", n, orbit)
-    if key in _scan_cache:
-        bundle = _scan_cache[key]
-    else:
-        chunks = _split_range(space, shards, space)
-        bundles = _run_workers(_scan_egz, [(n, c, orbit) for c in chunks])
-        bundle = {"instances": 0, "canonical": 0, "viol": _merge_violation_buckets([b["viol"] for b in bundles])}
-        for b in bundles:
-            bundle["instances"] += b["instances"]
-            bundle["canonical"] += b["canonical"]
-        if bundle["instances"] != space:
-            raise RuntimeError(f"enumeration covered {bundle['instances']} of {space} multisets")
-        _scan_cache[key] = bundle
-    rows, total = _emit_violations(bundle["viol"], ("exact-n-zero-sum",))
+    report = _zn_report(
+        "egz", "egz", n, ("exact-n-zero-sum",), lambda bundle: {}, orbit_reduced, shards, budget
+    )
     sharp = [0] * (n - 1) + [1] * (n - 1)
     sharp_ok = not sums.has_zero_sum_of_size(ZSequence.from_iterable(AbelianGroup((n,)), sharp), n)
     if not sharp_ok:
-        total += 1
-        rows = rows + [
+        report.violations_total += 1
+        report.violations.append(
             {
                 "law": "sharpness-witness",
                 "sequence": sharp,
                 "observed": "has exact-n zero-sum",
                 "expected": "none",
             }
-        ]
-    details = {
-        "canonical_instances": bundle["canonical"],
-        "sharpness_witness": sharp,
-        "sharpness_confirmed": sharp_ok,
-    }
-    return VerificationReport(
-        statement_id="egz",
-        parameters={"n": n, "length": 2 * n - 1},
-        instances_checked=bundle["instances"],
-        orbit_reduced=orbit,
-        violations=rows,
-        violations_total=total,
-        details=details,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-    )
+        )
+    report.parameters["length"] = 2 * n - 1
+    report.details["sharpness_witness"] = sharp
+    report.details["sharpness_confirmed"] = sharp_ok
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -903,17 +889,12 @@ def _davenport_rows(max_order: int) -> dict:
     return out
 
 
-def verify_davenport_table(
-    max_order: int = DAVENPORT_TABLE_CAP,
-    *,
-    shards: int = 1,
-) -> VerificationReport:
+def verify_davenport_table(max_order: int = DAVENPORT_TABLE_CAP) -> VerificationReport:
     """Davenport constant never exceeds the group order, with equality
     exactly for cyclic groups; checked for every abelian group of order
     up to max_order.  The table always runs in process (about 30 ms at
-    order 16), so `shards` changes nothing."""
-    if max_order < 1:
-        raise ValueError("need max_order >= 1")
+    order 16)."""
+    _require_order("davenport-table", max_order, "max_order")
     if max_order > DAVENPORT_TABLE_CAP:
         raise BudgetExceededError(
             f"davenport table capped at order {DAVENPORT_TABLE_CAP}, got {max_order}"
@@ -941,40 +922,63 @@ def verify_davenport_table(
 # ---------------------------------------------------------------------------
 
 
+# statement id -> (checker, lowest order, highest order or None).  The
+# orders are n for the Z_n statements, the cyclic groups Z_n for
+# sumset-growth, and max_order for davenport-table, whose one report
+# covers every order up to the highest.
+STATEMENTS = {
+    "support-bound": (verify_thm_main, 2, None),
+    "full-length-constant": (verify_prop_all_equal, 1, None),
+    "extremal-structure": (verify_extremal_structure, 2, None),
+    "short-zero-sum": (verify_corollary_short_zero_sum, 1, None),
+    "sumset-growth": (verify_sumset_lemmas, 2, 10),
+    "egz": (verify_egz, 2, 6),
+    "davenport-table": (verify_davenport_table, 1, DAVENPORT_TABLE_CAP),
+}
+
+
+def verify_statement(
+    statement: str,
+    n_max: int,
+    *,
+    n: int | None = None,
+    orbit_reduced: bool = True,
+    shards: int = 1,
+    budget: int | None = None,
+) -> list[VerificationReport]:
+    """The reports of one STATEMENTS entry over its orders up to n_max,
+    or at the single order n.  `shards` and `orbit_reduced` apply to the
+    scans over Z_n only."""
+    check, floor, cap = STATEMENTS[statement]
+    top = n_max if cap is None else min(n_max, cap)
+    if statement == "davenport-table":
+        return [check(top if n is None else n)]
+    orders = range(floor, top + 1) if n is None else [n]
+    if statement == "sumset-growth":
+        return [check(AbelianGroup((m,)), budget=budget) for m in orders]
+    return [check(m, orbit_reduced=orbit_reduced, shards=shards, budget=budget) for m in orders]
+
+
 def verify_all(
     n_max: int,
     *,
-    orbit_reduced: bool | None = None,
+    orbit_reduced: bool = True,
     shards: int = 1,
     budget: int | None = None,
-    k_max: int = 6,
-    sumset_n_max: int = 10,
-    egz_n_max: int = 6,
     davenport_max_order: int | None = None,
 ) -> list[VerificationReport]:
-    """Run every checker across its full range up to n_max.
+    """Run every statement in STATEMENTS over its orders up to n_max.
 
-    The checker ranges follow each statement's own hypothesis floor; the
-    heavyweight families (sum-set growth, exact-cardinality windows) are
-    additionally clipped to their own defaults since their spaces grow
-    on a different scale.
+    Each statement starts at its own hypothesis floor; sum-set growth
+    and EGZ stop at their own caps, since their spaces grow on a
+    different scale.  davenport_max_order replaces the table's order.
     """
     if n_max < 2:
-        raise ValueError("need n_max >= 2")
+        raise DomainError(f"verify_all needs n_max >= 2, got {n_max}")
     reports: list[VerificationReport] = []
-    common = {"orbit_reduced": orbit_reduced, "shards": shards, "budget": budget}
-    for n in range(2, n_max + 1):
-        reports.append(verify_thm_main(n, **common))
-    for n in range(1, n_max + 1):
-        reports.append(verify_prop_all_equal(n, **common))
-    for n in range(2, n_max + 1):
-        reports.append(verify_extremal_structure(n, **common))
-    for n in range(1, n_max + 1):
-        reports.append(verify_corollary_short_zero_sum(n, **common))
-    for n in range(2, min(sumset_n_max, n_max) + 1):
-        reports.append(verify_sumset_lemmas(AbelianGroup((n,)), k_max, shards=shards, budget=budget))
-    for n in range(2, min(egz_n_max, n_max) + 1):
-        reports.append(verify_egz(n, **common))
-    dav = davenport_max_order if davenport_max_order is not None else min(n_max, DAVENPORT_TABLE_CAP)
-    reports.append(verify_davenport_table(dav, shards=shards))
+    for statement in STATEMENTS:
+        single = davenport_max_order if statement == "davenport-table" else None
+        reports += verify_statement(
+            statement, n_max, n=single, orbit_reduced=orbit_reduced, shards=shards, budget=budget
+        )
     return reports

@@ -15,7 +15,7 @@ from math import gcd
 from operator import add, mod
 
 from zerosum import quad
-from zerosum.errors import InvalidElementError, UnsupportedSymmetryError
+from zerosum.errors import InvalidElementError
 from zerosum.groups import AbelianGroup, Element, ZSequence, units
 
 
@@ -173,7 +173,7 @@ def _require_cyclic_rank_one(group: AbelianGroup) -> None:
     # the unit action is only wired up for a single cyclic factor; a
     # product like Z2xZ3 is abstractly cyclic but its presentation is not
     if group.rank != 1:
-        raise UnsupportedSymmetryError(
+        raise ValueError(
             f"unit-orbit reduction needs a single cyclic factor, got {group}"
         )
 

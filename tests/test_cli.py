@@ -162,6 +162,47 @@ def test_verify_rejects_n_for_all(capsys):
     assert "--n-max" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("support-bound", "--n", "1"),
+        ("all", "--n-max", "1"),
+        ("sumset-growth", "--n", "1"),
+        ("davenport-table", "--n-max", "0"),
+    ],
+)
+def test_verify_order_below_floor_exits_two(capsys, argv):
+    # exit 1 means violations found; an order out of range is bad input
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+def _without_elapsed(doc: str) -> list[dict]:
+    reports = json.loads(doc)["reports"]
+    for r in reports:
+        del r["elapsed_ms"]
+    return reports
+
+
+def test_verify_statements_match_verify_all(capsys):
+    expected = _without_elapsed(verify.reports_to_json(verify.verify_all(11)))
+    for statement in cli.VERIFY_STATEMENTS:
+        code, out, _ = run_cli(
+            capsys, "verify", statement, "--n-max", "11", "--shards", "1", "--json"
+        )
+        assert code == 0
+        got = _without_elapsed(out)
+        if statement == "all":
+            assert got == expected
+        else:
+            assert got == [r for r in expected if r["statement_id"] == statement]
+    code, out, _ = run_cli(capsys, "verify", "davenport-table", "--n-max", "20", "--json")
+    assert code == 0
+    assert [r["parameters"] for r in json.loads(out)["reports"]] == [{"max_order": 16}]
+
+
 def test_quad_class_group_command(capsys):
     code, out, _ = run_cli(capsys, "quad-class-group", "-d", "26", "--json")
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import canonical_orbit_representative, unit_multiply
-from zerosum.errors import InvalidElementError, ParseError, UnsupportedSymmetryError
+from zerosum.errors import InvalidElementError, ParseError
 from zerosum.groups import (
     AbelianGroup,
     ZSequence,
@@ -189,7 +189,7 @@ def test_canonical_representative_is_orbit_invariant(data):
 
 
 def test_canonical_representative_needs_cyclic():
-    with pytest.raises(UnsupportedSymmetryError):
+    with pytest.raises(ValueError):
         canonical_orbit_representative(Z2xZ4, ZSequence.from_iterable(Z2xZ4, [(1, 1)]))
 
 

@@ -199,8 +199,8 @@ def test_scan_cache_ignores_shard_count(monkeypatch):
     runs = [
         lambda shards: verify.verify_thm_main(6, shards=shards),
         lambda shards: verify.verify_egz(4, shards=shards),
-        lambda shards: verify.verify_sumset_lemmas(AbelianGroup((6,)), 4, shards=shards),
-        lambda shards: verify.verify_davenport_table(6, shards=shards),
+        lambda shards: verify.verify_sumset_lemmas(AbelianGroup((6,)), 4),
+        lambda shards: verify.verify_davenport_table(6),
     ]
     for run in runs:
         first = run(1).to_json(include_elapsed=False)
@@ -374,6 +374,14 @@ def test_budget_refuses_oversized_scan(monkeypatch):
         verify.verify_thm_main(6)
     monkeypatch.setenv("ZEROSUM_BUDGET", "1000")
     assert verify.verify_thm_main(6).passed
+    assert verify.verify_egz(4).passed
+    # a budget below the raw space, C(11, 6) = 462 or C(10, 3) = 120,
+    # refuses the scan even once it is cached
+    monkeypatch.setenv("ZEROSUM_BUDGET", "100")
+    with pytest.raises(BudgetExceededError):
+        verify.verify_thm_main(6)
+    with pytest.raises(BudgetExceededError):
+        verify.verify_egz(4)
 
 
 def test_verify_all_bundle_composition():
@@ -421,8 +429,8 @@ def test_shard_counts_agree_byte_for_byte(monkeypatch):
             verify.verify_thm_main(7, shards=shards),
             verify.verify_extremal_structure(7, shards=shards),
             verify.verify_egz(5, shards=shards),
-            verify.verify_sumset_lemmas(AbelianGroup((8,)), shards=shards),
-            verify.verify_davenport_table(8, shards=shards),
+            verify.verify_sumset_lemmas(AbelianGroup((8,))),
+            verify.verify_davenport_table(8),
         ]
         outs.append(verify.reports_to_json(reports, include_elapsed=False))
     assert outs[0] == outs[1] == outs[2] == outs[3]
