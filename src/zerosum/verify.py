@@ -948,9 +948,12 @@ def verify_statement(
 ) -> list[VerificationReport]:
     """The reports of one STATEMENTS entry over its orders up to n_max,
     or at the single order n.  `shards` and `orbit_reduced` apply to the
-    scans over Z_n only."""
+    scans over Z_n only.  An n_max below the statement's floor leaves no
+    order to check and raises DomainError."""
     check, floor, cap = STATEMENTS[statement]
     top = n_max if cap is None else min(n_max, cap)
+    if n is None and top < floor:
+        raise DomainError(f"{statement} needs n_max >= {floor}, got {n_max}")
     if statement == "davenport-table":
         return [check(top if n is None else n)]
     orders = range(floor, top + 1) if n is None else [n]

@@ -5,7 +5,9 @@ subsequence is enumerated outright and orbit counts come from
 Burnside's formula, so any agreement with the fast paths is meaningful.
 packed_pairs only decodes the packed layout of sums.packed_translator.
 The unit action, its orbit representative and the units of a quadratic
-order live here because only the tests use them.
+order live here because only the tests use them.  brute_element_orders
+composes each form's powers on their own, as the reference for
+class_group's shared walks.
 """
 
 from __future__ import annotations
@@ -189,3 +191,21 @@ def units_of(order: quad.QuadOrder) -> tuple[quad.Element, ...]:
 
 def associates(order: quad.QuadOrder, alpha: quad.Element) -> tuple[quad.Element, ...]:
     return tuple(quad.elem_mul(order, u, alpha) for u in units_of(order))
+
+
+def brute_element_orders(forms: tuple[quad.Form, ...], ident: quad.Form) -> list[int]:
+    """Order of each reduced form by composing its powers until the
+    identity, one walk per form (about h^2 compositions); the reference
+    for class_group's cyclic-subgroup walks."""
+    h = len(forms)
+    element_orders = []
+    for f in forms:
+        power = f
+        o = 1
+        while power != ident:
+            power = quad.compose_reduced(power, f)
+            o += 1
+            if o > h:
+                raise AssertionError(f"order of {f} exceeds the class number {h}")
+        element_orders.append(o)
+    return element_orders

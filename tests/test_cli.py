@@ -169,6 +169,8 @@ def test_verify_rejects_n_for_all(capsys):
         ("all", "--n-max", "1"),
         ("sumset-growth", "--n", "1"),
         ("davenport-table", "--n-max", "0"),
+        ("support-bound", "--n-max", "1"),
+        ("egz", "--n-max", "1"),
     ],
 )
 def test_verify_order_below_floor_exits_two(capsys, argv):

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import associates, units_of
+from conftest import associates, brute_element_orders, units_of
 from zerosum import quad
 from zerosum.errors import (
     ArityError,
@@ -268,6 +268,51 @@ def test_class_number_one_fields():
 def test_class_group_budget():
     with pytest.raises(BudgetExceededError):
         quad.class_group(quad.QuadOrder(29 * 1009))
+
+
+SQUAREFREE_TO_1000 = [d for d in range(1, 1001) if quad._is_squarefree(d)]
+
+
+def test_class_group_matches_brute_element_orders():
+    # d = 95479 has h = 195; the brute loop takes 22,884 compositions there
+    for d in SQUAREFREE_TO_1000 + [95479]:
+        order = quad.QuadOrder(d)
+        cg = quad.class_group(order)
+        forms = quad.reduced_forms(order.discriminant)
+        h = len(forms)
+        orders = brute_element_orders(forms, quad.reduce_form(quad.principal_form(order.discriminant)))
+        structure = quad._invariant_factors(orders, h)
+        generator_index = 0 if h == 1 else (orders.index(h) if len(structure) == 1 else None)
+        fields = (cg.base, cg.order_h, cg.element_reps, cg.structure, cg.generator_index)
+        assert fields == (order, h, forms, structure, generator_index), d
+        if not cg.is_cyclic:
+            continue
+        power = cg.identity_rep
+        for e in range(h):
+            assert quad.ideal_class(cg, quad.ideal_of_form(order, power)) == e, (d, e)
+            power = quad.compose_reduced(power, cg.generator)
+        assert power == cg.identity_rep
+
+
+def test_class_group_and_ideal_class_composition_counts(monkeypatch):
+    calls = [0]
+    compose = quad.compose_reduced
+
+    def counting(f1, f2):
+        calls[0] += 1
+        return compose(f1, f2)
+
+    monkeypatch.setattr(quad, "compose_reduced", counting)
+    for d in SQUAREFREE_TO_1000:
+        order = quad.QuadOrder(d)
+        calls[0] = 0
+        cg = quad.class_group(order)
+        assert calls[0] <= 2 * cg.order_h, (d, calls[0], cg.order_h)
+        if cg.is_cyclic:
+            calls[0] = 0
+            for f in cg.element_reps:
+                quad.ideal_class(cg, quad.ideal_of_form(order, f))
+            assert calls[0] == 0, d
 
 
 def test_ideal_class_frozen_and_homomorphic():
