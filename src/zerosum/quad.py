@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, isqrt
+from types import MappingProxyType
 
 from . import sums
 from .errors import (
@@ -407,7 +408,7 @@ class ClassGroup:
 
     exponents maps each reduced form f of a cyclic group to the e with
     f = generator^e (empty otherwise).  It is the table class_group
-    builds for ideal_class, read-only by convention, and left out of
+    builds for ideal_class, a read-only mapping, and left out of
     equality and repr.
     """
 
@@ -416,7 +417,7 @@ class ClassGroup:
     element_reps: tuple[Form, ...]
     structure: tuple[int, ...]
     generator_index: int | None
-    exponents: dict[Form, int] = field(compare=False, repr=False)
+    exponents: MappingProxyType[Form, int] = field(compare=False, repr=False)
 
     @property
     def is_cyclic(self) -> bool:
@@ -478,9 +479,9 @@ def class_group(order: QuadOrder) -> ClassGroup:
     cover distinct cyclic subgroups C, each at |C| - 1 compositions:
     fewer than h * prod_{p | h} p/(p - 1) = O(h log log h) in all
     (sigma(h) for a cyclic group; at most 1.93h was observed over every
-    squarefree d <= 1000).  The first form of order h is always walked (every earlier walk has
-    order below h), and its walk is kept as the exponent table of
-    ideal_class.
+    squarefree d <= 1000).  The first form of order h is always walked
+    (every earlier walk has order below h), and its walk is kept,
+    read-only, as the exponent table of ideal_class.
     _invariant_factors checks the order statistics independently.
     """
     disc = order.discriminant
@@ -517,7 +518,7 @@ def class_group(order: QuadOrder) -> ClassGroup:
         generator_index = 0
     elif len(structure) == 1:
         generator_index = element_orders.index(h)
-    return ClassGroup(order, h, forms, structure, generator_index, exponents)
+    return ClassGroup(order, h, forms, structure, generator_index, MappingProxyType(exponents))
 
 
 def ideal_class(cg: ClassGroup, ideal: QuadIdeal) -> int:

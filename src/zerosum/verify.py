@@ -9,15 +9,24 @@ off it through one report builder, _zn_report.
 STATEMENTS lists every statement with its checker and its range of
 orders, and both verify_all and the CLI take those ranges from there.
 
-A scan whose raw space (the count its budget check computes) is below
-POOL_MIN_INSTANCES runs in the calling process whatever `shards` says;
-only a larger scan over Z_n is cut into `shards` contiguous pieces for a
-process pool.  The pieces are equal ranges of the lexicographic ranks of
-its sequences (the walk unranks each range's first and last sequence).
-Workers are pure; shard results merge by summing counts and keeping the
-VIOLATION_LIMIT smallest violation rows of each law, so a report is
-byte-identical for every shard count.  The zero-sum-free scan and the
-Davenport table always run in process: a pool never paid for them.
+A multiset S over Z_n that contains 0 has the zero-sum subsequence (0),
+so its minimal zero-sum length m is 1 and every length-n law holds on
+it; the support bound n - m + 1 = n is tight only on {0, 1, ..., n-1}.
+These multisets are the first C(2n-2, n-1) lexicographic ranks of the
+length-n scan, and _zero_block settles them in closed form: its orbit
+count is Burnside's.  Only the C(2n-2, n) zero-free ranks are walked.
+The raw count still reconciles with C(2n-1, n), so the walked covers
+must add up to C(2n-2, n) exactly.
+
+A scan that walks fewer than POOL_MIN_INSTANCES ranks runs in the
+calling process whatever `shards` says; only a larger scan over Z_n is
+cut into `shards` contiguous pieces for a process pool.  The pieces are
+equal ranges of the lexicographic ranks of its sequences (the walk
+unranks each range's first and last sequence).  Workers are pure; shard
+results merge by summing counts and keeping the VIOLATION_LIMIT smallest
+violation rows of each law, so a report is byte-identical for every
+shard count.  The zero-sum-free scan and the Davenport table always run
+in process: a pool never paid for them.
 
 The scans over Z_n are reduced to one representative per unit orbit
 u*S (the checked statements are all invariant under that action), and
@@ -71,19 +80,20 @@ RAW_ENUMERATION_CAP = 10_000_000
 DAVENPORT_TABLE_CAP = 16
 VIOLATION_LIMIT = 100
 WITNESS_LIMIT = 100
-# Scans with a raw space below this run in the calling process whatever
-# `shards` says.  Measured on 2 CPUs (Python 3.11, fork start, a fresh
-# interpreter per run, medians of 7-15, orbit-reduced unless noted): a
-# two-shard pool costs about 40 ms up front (importing concurrent.futures,
-# forking, shutdown and merge).  With pruning in the walk a raw instance of
-# the length-n scan costs far less than before, so two shards only break
-# even at verify_thm_main(10) (92,378: +5 to +21 ms raw, +9 to +11 ms
-# orbit-reduced) and verify_egz(8) (116,280: +4 to +35 ms), and lose
-# 23-30 ms at verify_thm_main(9) (24,310) and verify_egz(7) (27,132).
-# verify_thm_main(11) (352,716) gains 66-77 ms.  No Z_n scan has a raw space
-# between 116,280 and 352,716, so one number over raw space fits both
-# phi(10) = 4 and phi(11) = 10.
-POOL_MIN_INSTANCES = 120_000
+# Scans that walk fewer ranks than this run in the calling process
+# whatever `shards` says.  Measured on 2 CPUs (Python 3.11, fork start, a
+# fresh interpreter per run, medians of 5-7, two shards against one):
+# orbit-reduced, verify_thm_main(11) (167,960 walked ranks) loses 50 ms
+# (0.15 -> 0.20 s), and n = 12 (646,646) and n = 13 (2,496,144) gain
+# nothing (0.97 -> 1.02 s, 1.59 -> 1.73 s).  Their canonical sequences
+# sit in the low zero-free ranks, since every one that holds a unit
+# starts with 1: the upper rank half holds 4% of them at n = 12 and none
+# at n = 13.  In raw mode work follows ranks, and two shards gain at
+# n = 11 (0.75 -> 0.43 s) and n = 12 (2.8 -> 1.5 s); verify_egz(9)
+# (1,081,575) gains too (1.35 -> 0.81 s) and verify_egz(8) (170,544) is
+# even.  So the length-n walks pool from n = 12 and EGZ from n = 9; no
+# Z_n scan walks between 170,544 and 646,646 ranks.
+POOL_MIN_INSTANCES = 200_000
 
 
 def _effective_budget(budget: int | None) -> int:
@@ -146,20 +156,20 @@ def reports_to_json(reports: list[VerificationReport], include_elapsed: bool = T
 # shared machinery
 
 
-def _split_range(total: int, shards: int, space: int) -> list[tuple[int, int]]:
-    """Contiguous rank ranges covering [0, total), one per shard; empty ones dropped.
+def _split_range(start: int, stop: int, shards: int) -> list[tuple[int, int]]:
+    """Contiguous rank ranges covering [start, stop), one per shard; empty ones dropped.
 
-    space is the scan's raw instance count: below POOL_MIN_INSTANCES the
-    whole range is one chunk, which _run_workers runs in process.
+    A range of fewer than POOL_MIN_INSTANCES ranks is one chunk, which
+    _run_workers runs in process.
     """
+    total = stop - start
     if total <= 0:
         return []
-    if space < POOL_MIN_INSTANCES:
+    if total < POOL_MIN_INSTANCES:
         shards = 1
     shards = max(1, min(shards, total))
     q, r = divmod(total, shards)
     out = []
-    start = 0
     for i in range(shards):
         size = q + (1 if i < r else 0)
         out.append((start, start + size))
@@ -495,6 +505,49 @@ def _scan_length_n(args: tuple) -> dict:
     return out
 
 
+def _zero_block(n: int, orbit: bool) -> dict:
+    """_scan_length_n over the ranks [0, C(2n-2, n-1)), in closed form.
+
+    Those ranks are the multisets that contain 0, and each has m = 1.
+    So s = n-1, every law holds, and the support bound is tight only on
+    {0, 1, ..., n-1}, a single unit orbit.  Removing one 0 maps the
+    block onto the length-(n-1) multisets, unit orbits included; their
+    orbits are counted by Burnside: the mean over units u of the
+    multisets u fixes, the t^(n-1) coefficient of the product over the
+    cycles C of x -> u*x of 1/(1 - t^|C|).
+    """
+    size = comb(2 * n - 2, n - 1)
+    canonical = size
+    if orbit:
+        us = units(n)
+        fixed = 0
+        for u in us:
+            poly = [1] + [0] * (n - 1)
+            seen = set()
+            for x in range(n):
+                cycle = 0
+                while x not in seen:
+                    seen.add(x)
+                    x = u * x % n
+                    cycle += 1
+                if cycle:
+                    for k in range(cycle, n):
+                        poly[k] += poly[k - cycle]
+            fixed += poly[n - 1]
+        canonical = fixed // len(us)
+    return {
+        "instances": size,
+        "canonical": canonical,
+        "slice_nm1": 0,
+        "slice_nm2": size if n == 3 else 0,
+        "full_instances": 1 if n == 1 else 0,
+        "full_witnesses": [[0]] if n == 1 else [],
+        "realized": {n - 1: 1},
+        "first_tight": {n - 1: list(range(n))},
+        "viol": _new_violation_bucket(),
+    }
+
+
 def _merge_scans(bundles: list[dict]) -> dict:
     """Shard results of one Z_n scan, in shard order, as one result.
 
@@ -534,9 +587,14 @@ def clear_caches() -> None:
 def _zn_bundle(family: str, n: int, orbit: bool, shards: int, budget: int | None) -> dict:
     """The merged result of one scan over Z_n, run once per (family, n, orbit).
 
-    family "length-n" walks the length-n sequences and "egz" those of
-    length 2n-1.  The budget is checked before the cache, so a scan is
-    refused under a budget below its raw space even when it ran before.
+    family "length-n" covers the length-n sequences and "egz" those of
+    length 2n-1.  A length-n multiset that contains 0 has m = 1, so
+    _zero_block settles their ranks [0, C(2n-2, n-1)) in closed form
+    (orbits by Burnside, no violation), and only the zero-free ranks are
+    walked and sharded.  The merged instances must equal the raw space,
+    so the walked covers must add up to C(2n-2, n) for length n.  The
+    budget is checked before the cache, so a scan is refused under a
+    budget below its raw space even when it ran before.
     """
     scan, length = (_scan_length_n, n) if family == "length-n" else (_scan_egz, 2 * n - 1)
     space = comb(n + length - 1, length)
@@ -547,8 +605,11 @@ def _zn_bundle(family: str, n: int, orbit: bool, shards: int, budget: int | None
         )
     key = (family, n, orbit)
     if key not in _scan_cache:
-        chunks = _split_range(space, shards, space)
-        merged = _merge_scans(_run_workers(scan, [(n, c, orbit) for c in chunks]))
+        # the closed-form block goes first, so first_tight keeps rank order
+        head = [_zero_block(n, orbit)] if family == "length-n" else []
+        start = head[0]["instances"] if head else 0
+        chunks = _split_range(start, space, shards)
+        merged = _merge_scans(head + _run_workers(scan, [(n, c, orbit) for c in chunks]))
         # orbit sizes must account for the raw space exactly
         if merged["instances"] != space:
             raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")

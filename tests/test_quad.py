@@ -334,6 +334,19 @@ def test_ideal_class_frozen_and_homomorphic():
         quad.ideal_class(quad.class_group(quad.QuadOrder(21)), quad.unit_ideal(quad.QuadOrder(21)))
 
 
+def test_class_group_exponents_are_read_only():
+    # ideal_class reads this table; a caller must not be able to corrupt it
+    cg = quad.class_group(O26)
+    p1 = quad.parse_ideal(O26, "5,2")
+    target = quad.reduce_form(quad.form_of_ideal(O26, p1))
+    with pytest.raises(TypeError):
+        cg.exponents[target] = 0
+    with pytest.raises(TypeError):
+        del cg.exponents[target]
+    assert quad.ideal_class(cg, p1) == 5
+    assert quad.class_group(quad.QuadOrder(21)).exponents == {}
+
+
 def test_reduced_class_ideal_frozen():
     p1 = quad.parse_ideal(O26, "5,2")
     assert quad.reduced_class_ideal(O26, quad.ideal_pow(O26, p1, 3)) == quad.parse_ideal(

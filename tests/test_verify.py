@@ -219,22 +219,57 @@ def test_pool_threshold_picks_chunks(monkeypatch):
         return real(worker, arg_list)
 
     monkeypatch.setattr(verify, "_run_workers", recording)
-    # the default keeps every small scan in one chunk, whatever shards says
+    # the default keeps every small scan in one chunk, whatever shards says;
+    # the length-n scan walks only the zero-free ranks, from C(2n-2, n-1)
     verify.verify_thm_main(9, shards=4)
     verify.verify_egz(6, shards=4)
     assert chunks == {
-        "_scan_length_n": [[(0, comb(17, 9))]],
+        "_scan_length_n": [[(comb(16, 8), comb(17, 9))]],
         "_scan_egz": [[(0, comb(16, 5))]],
     }
-    # from the threshold up, the cyclic scans get equal rank ranges
+    # from the threshold up, counted in walked ranks (C(12, 7) = 792 at
+    # n = 7, C(10, 6) = 210 at n = 6), the walk gets equal rank ranges
     verify.clear_caches()
     chunks.clear()
-    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", comb(13, 7))
+    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", comb(12, 7))
     verify.verify_thm_main(7, shards=3)
     verify.verify_thm_main(6, shards=3)
     assert chunks == {
-        "_scan_length_n": [[(0, 572), (572, 1144), (1144, 1716)], [(0, 462)]],
+        "_scan_length_n": [[(924, 1188), (1188, 1452), (1452, 1716)], [(252, 462)]],
     }
+
+
+def test_zero_block_equals_the_walk_over_its_ranks():
+    # the old walk over the multisets that contain 0 is the oracle
+    for n in range(1, 11):
+        for orbit in (True, False):
+            walked = verify._scan_length_n((n, (0, comb(2 * n - 2, n - 1)), orbit))
+            assert verify._zero_block(n, orbit) == walked, (n, orbit)
+
+
+def test_zero_block_orbit_count_matches_brute_force():
+    for n in range(1, 8):
+        group = AbelianGroup((n,))
+        reps = set()
+        for rest in combinations_with_replacement(range(n), n - 1):
+            seq = ZSequence(group, tuple((v,) for v in (0,) + rest))
+            reps.add(canonical_orbit_representative(group, seq).entries)
+        assert verify._zero_block(n, True)["canonical"] == len(reps), n
+
+
+@pytest.mark.parametrize("part", ["_zero_block", "_scan_length_n"])
+def test_length_n_reconciliation_catches_a_lost_cover(monkeypatch, part):
+    # the closed-form block and the walked covers must add up to C(2n-1, n)
+    real = getattr(verify, part)
+
+    def short(*args):
+        out = real(*args)
+        out["instances"] -= 1
+        return out
+
+    monkeypatch.setattr(verify, part, short)
+    with pytest.raises(RuntimeError, match="covered 461 of 462"):
+        verify.verify_thm_main(6)
 
 
 def test_import_and_small_scans_skip_pool_machinery():
@@ -245,7 +280,7 @@ def test_import_and_small_scans_skip_pool_machinery():
         "from zerosum import cli\n"
         "loaded = ['concurrent.futures' in sys.modules]\n"
         "for argv in (['verify', 'all', '--n-max', '6', '--shards', '2'],\n"
-        "             ['verify', 'support-bound', '--n', '11', '--shards', '2']):\n"
+        "             ['verify', 'support-bound', '--n', '12', '--shards', '2']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "    loaded.append('concurrent.futures' in sys.modules)\n"
