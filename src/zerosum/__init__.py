@@ -21,14 +21,11 @@ from .groups import (
     ZSequence,
     element_add,
     element_neg,
-    element_order,
-    element_scale,
     format_element,
     groups_of_order,
     parse_element,
     parse_entries,
     parse_group,
-    parse_sequence,
     units,
 )
 from .sums import (
@@ -38,7 +35,6 @@ from .sums import (
     SumSet,
     davenport,
     has_zero_sum_of_size,
-    is_zero_sum_free,
     mz,
     sumset,
     support_size,

@@ -115,18 +115,6 @@ def element_neg(group: AbelianGroup, a: Element) -> Element:
     return tuple((-x) % n for x, n in zip(a, group.factors))
 
 
-def element_scale(group: AbelianGroup, k: int, a: Element) -> Element:
-    """k-fold sum of a (k may be any integer)."""
-    group.validate(a)
-    return tuple((k * x) % n for x, n in zip(a, group.factors))
-
-
-def element_order(group: AbelianGroup, g: Element) -> int:
-    """Order of g: lcm over coordinates of n_j / gcd(n_j, g_j)."""
-    group.validate(g)
-    return math.lcm(*(n // math.gcd(n, c) for c, n in zip(g, group.factors)))
-
-
 @dataclass(frozen=True)
 class ZSequence:
     """Finite multiset of group elements, stored sorted.
@@ -267,11 +255,6 @@ def parse_entries(group: AbelianGroup, text: str) -> list[Element]:
         raise ParseError(f"unbalanced parentheses in {text!r}")
     parts.append("".join(current))
     return [parse_element(group, part) for part in parts]
-
-
-def parse_sequence(group: AbelianGroup, text: str) -> ZSequence:
-    """Parse a comma-separated entry list into a canonical sequence."""
-    return ZSequence.from_iterable(group, parse_entries(group, text))
 
 
 def format_element(group: AbelianGroup, g: Element) -> str:

@@ -255,11 +255,6 @@ def support_size(seq: ZSequence) -> int:
     return len(seq.support)
 
 
-def is_zero_sum_free(seq: ZSequence) -> bool:
-    """True when no nonempty subsequence sums to the identity."""
-    return not mz(seq).is_finite
-
-
 def has_zero_sum_of_size(seq: ZSequence, size: int) -> bool:
     """True when some subsequence of exactly `size` entries sums to zero.
 

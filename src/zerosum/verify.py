@@ -15,10 +15,17 @@ it; the support bound n - m + 1 = n is tight only on {0, 1, ..., n-1}.
 These multisets are the first C(2n-2, n-1) lexicographic ranks of the
 length-n scan, and _zero_block settles them in closed form: its orbit
 count is Burnside's.  Only the C(2n-2, n) zero-free ranks are walked.
-The raw count still reconciles with C(2n-1, n), so the walked covers
-must add up to C(2n-2, n) exactly.
+The inverse-pair lemma settles most of those: a zero-free S that holds
+some a together with n-a, or n/2 twice, has m = 2, so for n >= 5 every
+length-n law holds on it and the support bound is tight only on
+{1, ..., n-1} plus one repeated entry.  _pair_block gives those in
+closed form too, and the walk skips every prefix with an inverse pair,
+so it reaches only the pair-free multisets: P(n) of them, the t^n
+coefficient of ((1+t)/(1-t))^floor((n-1)/2) * (1+t)^[n even], and their
+unit orbits by Burnside.  The raw count still reconciles with
+C(2n-1, n), and the walked leaves must equal that closed-form count.
 
-A scan that walks fewer than POOL_MIN_INSTANCES ranks runs in the
+A walk that reaches fewer than POOL_MIN_INSTANCES leaves runs in the
 calling process whatever `shards` says; only a larger scan over Z_n is
 cut into `shards` contiguous pieces for a process pool.  The pieces are
 equal ranges of the lexicographic ranks of its sequences (the walk
@@ -80,20 +87,20 @@ RAW_ENUMERATION_CAP = 10_000_000
 DAVENPORT_TABLE_CAP = 16
 VIOLATION_LIMIT = 100
 WITNESS_LIMIT = 100
-# Scans that walk fewer ranks than this run in the calling process
-# whatever `shards` says.  Measured on 2 CPUs (Python 3.11, fork start, a
-# fresh interpreter per run, medians of 5-7, two shards against one):
-# orbit-reduced, verify_thm_main(11) (167,960 walked ranks) loses 50 ms
-# (0.15 -> 0.20 s), and n = 12 (646,646) and n = 13 (2,496,144) gain
-# nothing (0.97 -> 1.02 s, 1.59 -> 1.73 s).  Their canonical sequences
-# sit in the low zero-free ranks, since every one that holds a unit
-# starts with 1: the upper rank half holds 4% of them at n = 12 and none
-# at n = 13.  In raw mode work follows ranks, and two shards gain at
-# n = 11 (0.75 -> 0.43 s) and n = 12 (2.8 -> 1.5 s); verify_egz(9)
-# (1,081,575) gains too (1.35 -> 0.81 s) and verify_egz(8) (170,544) is
-# even.  So the length-n walks pool from n = 12 and EGZ from n = 9; no
-# Z_n scan walks between 170,544 and 646,646 ranks.
-POOL_MIN_INSTANCES = 200_000
+# Walks that reach fewer leaves than this run in the calling process
+# whatever `shards` says.  The length-n walk knows its leaves in closed
+# form (the pair-free unit orbits, or all pair-free multisets raw); EGZ
+# counts its ranks.  Measured on 2 CPUs (Python 3.11, fork start, a
+# fresh interpreter per run, medians of 5-9, two shards against one):
+# raw, verify_thm_main(11) (20,330 leaves) loses 47 ms (0.100 -> 0.147 s),
+# n = 12 (48,940) gains 27 ms (0.247 -> 0.220 s) and n = 13 (209,820)
+# gains 1.12 -> 0.84 s; verify_egz(7) (27,132 ranks) loses 0.036 ->
+# 0.088 s and verify_egz(8) (170,544) gains 0.273 -> 0.227 s.
+# Orbit-reduced length-n walks stay below the threshold up to the raw
+# budget (12,380 leaves at n = 12, 17,485 at n = 13), and two shards lose
+# there (0.127 -> 0.152 s, 0.234 -> 0.313 s): their canonical leaves sit
+# in the low ranks, since every one that holds a unit starts with 1.
+POOL_MIN_INSTANCES = 40_000
 
 
 def _effective_budget(budget: int | None) -> int:
@@ -156,16 +163,16 @@ def reports_to_json(reports: list[VerificationReport], include_elapsed: bool = T
 # shared machinery
 
 
-def _split_range(start: int, stop: int, shards: int) -> list[tuple[int, int]]:
+def _split_range(start: int, stop: int, shards: int, leaves: int) -> list[tuple[int, int]]:
     """Contiguous rank ranges covering [start, stop), one per shard; empty ones dropped.
 
-    A range of fewer than POOL_MIN_INSTANCES ranks is one chunk, which
-    _run_workers runs in process.
+    A walk that reaches fewer than POOL_MIN_INSTANCES leaves over the
+    range is one chunk, which _run_workers runs in process.
     """
     total = stop - start
     if total <= 0:
         return []
-    if total < POOL_MIN_INSTANCES:
+    if leaves < POOL_MIN_INSTANCES:
         shards = 1
     shards = max(1, min(shards, total))
     q, r = divmod(total, shards)
@@ -264,7 +271,9 @@ def _unrank(n: int, length: int, rank: int) -> list[int]:
     return out
 
 
-def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool = False) -> None:
+def _walk_packed(
+    n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool = False, pair_free: bool = False
+) -> None:
     """Call leaf(packed, combo, counts, cover) on each non-decreasing sequence.
 
     Covers the length-`length` sequences over Z_n whose rank (see
@@ -272,6 +281,12 @@ def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool 
     sequence, counts its count vector, and packed its subset sums in the
     layout of sums.cyclic_add_residue, cut to lengths 0..n.  All three
     are only valid during the call.
+
+    With pair_free, only the sequences in which no two entries sum to 0
+    are covered: the walk skips v when -v is already in the prefix
+    (counts[-v] is counts[(n - v) % n]), which also skips a second n/2
+    or 0, and cuts the subtree below.  That class is closed under units,
+    so the orbit pruning below is unchanged.
 
     With orbit, only the canonical sequences (no unit image u*S sorts
     below S) reach leaf, and cover is the size of their orbit; without
@@ -338,6 +353,8 @@ def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool 
         # would add about 15% to the walk
         if depth == last:
             for v in range(lo_v, hi_v):
+                if pair_free and counts[-v]:
+                    continue
                 combo.append(v)
                 counts[v] += 1
                 cover = cover_of(live) if live else phi
@@ -347,6 +364,8 @@ def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool 
                 counts[v] -= 1
             return
         for v in range(lo_v, hi_v):
+            if pair_free and counts[-v]:
+                continue
             combo.append(v)
             counts[v] += 1
             below = prune(v, live) if live else live
@@ -367,6 +386,8 @@ def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool 
             on_right = right and v == hi_v
             if not (on_left or on_right):
                 rec(v, v + 1, depth, x, live)
+                continue
+            if pair_free and counts[-v]:
                 continue
             combo.append(v)
             counts[v] += 1
@@ -435,9 +456,10 @@ def _scan_length_n(args: tuple) -> dict:
 
     For each instance the minimal zero-sum length m and the support size
     are computed (packed cardinality-resolved subset sums), and all the
-    length-n statements are evaluated at once.
+    length-n statements are evaluated at once.  args is (n, (start,
+    stop), orbit, pair_free), the last two passed on to _walk_packed.
     """
-    n, ranks, orbit = args
+    n, ranks, orbit, pair_free = args
     allowed_s = {0, 1, n - 2, n - 1}
     out = {
         "instances": 0,
@@ -501,8 +523,60 @@ def _scan_length_n(args: tuple) -> dict:
                         viol, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
                     )
 
-    _walk_packed(n, n, ranks, leaf, orbit)
+    _walk_packed(n, n, ranks, leaf, orbit, pair_free)
     return out
+
+
+@cache
+def _multisets(n: int, length: int, kind: str, orbit: bool) -> int:
+    """The length-`length` multisets over Z_n of one kind, or with orbit their unit orbits.
+
+    kind is "all", "zero-free" (no 0) or "pair-free" (zero-free, and no
+    two entries sum to 0); each kind is closed under units.  Burnside:
+    the orbits number the mean over units u of the multisets u fixes
+    (raw mode takes u = 1 alone, so every multiset is its own orbit).  A
+    fixed multiset has one count per cycle C of x -> u*x, so the fixed
+    ones are the t^length coefficient of the product over the cycles of
+    the counts' generating functions: 1/(1 - t^|C|), except that C =
+    {0} takes only 0 in a zero-free multiset.  In a pair-free one, a
+    cycle with C = -C holds some a with n-a and stays unused, except
+    {n/2}, which may be used once (1 + t); of a mirror pair C != -C at
+    most one is used, so the one met first stands for both with
+    (1 + t^|C|)/(1 - t^|C|).
+    """
+    group = units(n) if orbit else (1,)
+    fixed = 0
+    for u in group:
+        poly = [1] + [0] * length
+        seen = set()
+        for first in range(n):
+            if first in seen:
+                continue
+            size = 0
+            x = first
+            while x not in seen:
+                seen.add(x)
+                x = u * x % n
+                size += 1
+            # `first` is the least member of its cycle.  A prefix sum over
+            # step `grow` divides by 1 - t^grow, a suffix sum over step
+            # `once` multiplies by 1 + t^once
+            grow = once = 0
+            if kind == "all" or (first and kind == "zero-free"):
+                grow = size
+            elif kind == "pair-free" and first:
+                if n - first not in seen:
+                    grow = once = size
+                elif 2 * first == n:
+                    once = 1
+            if once:
+                for k in range(length, once - 1, -1):
+                    poly[k] += poly[k - once]
+            if grow:
+                for k in range(grow, length + 1):
+                    poly[k] += poly[k - grow]
+        fixed += poly[length]
+    return fixed // len(group)
 
 
 def _zero_block(n: int, orbit: bool) -> dict:
@@ -511,39 +585,42 @@ def _zero_block(n: int, orbit: bool) -> dict:
     Those ranks are the multisets that contain 0, and each has m = 1.
     So s = n-1, every law holds, and the support bound is tight only on
     {0, 1, ..., n-1}, a single unit orbit.  Removing one 0 maps the
-    block onto the length-(n-1) multisets, unit orbits included; their
-    orbits are counted by Burnside: the mean over units u of the
-    multisets u fixes, the t^(n-1) coefficient of the product over the
-    cycles C of x -> u*x of 1/(1 - t^|C|).
+    block onto the length-(n-1) multisets, unit orbits included, which
+    _multisets counts.
     """
     size = comb(2 * n - 2, n - 1)
-    canonical = size
-    if orbit:
-        us = units(n)
-        fixed = 0
-        for u in us:
-            poly = [1] + [0] * (n - 1)
-            seen = set()
-            for x in range(n):
-                cycle = 0
-                while x not in seen:
-                    seen.add(x)
-                    x = u * x % n
-                    cycle += 1
-                if cycle:
-                    for k in range(cycle, n):
-                        poly[k] += poly[k - cycle]
-            fixed += poly[n - 1]
-        canonical = fixed // len(us)
     return {
         "instances": size,
-        "canonical": canonical,
+        "canonical": _multisets(n, n - 1, "all", orbit),
         "slice_nm1": 0,
         "slice_nm2": size if n == 3 else 0,
         "full_instances": 1 if n == 1 else 0,
         "full_witnesses": [[0]] if n == 1 else [],
         "realized": {n - 1: 1},
         "first_tight": {n - 1: list(range(n))},
+        "viol": _new_violation_bucket(),
+    }
+
+
+def _pair_block(n: int, orbit: bool) -> dict:
+    """_scan_length_n over the zero-free multisets with an inverse pair, in closed form.
+
+    For n >= 5.  A zero-free S that holds a and n-a, or n/2 twice, has
+    m = 2, so s = n-2: no slice or full-length law applies, every law
+    holds, and the support bound is tight only on {1, ..., n-1} plus one
+    repeated entry, n-1 multisets, of which the first in rank order
+    repeats 1.  The block is the zero-free multisets less the pair-free
+    ones, both counted by _multisets.
+    """
+    return {
+        "instances": comb(2 * n - 2, n) - _multisets(n, n, "pair-free", False),
+        "canonical": _multisets(n, n, "zero-free", orbit) - _multisets(n, n, "pair-free", orbit),
+        "slice_nm1": 0,
+        "slice_nm2": 0,
+        "full_instances": 0,
+        "full_witnesses": [],
+        "realized": {n - 2: n - 1},
+        "first_tight": {n - 2: [1, *range(1, n)]},
         "viol": _new_violation_bucket(),
     }
 
@@ -590,13 +667,18 @@ def _zn_bundle(family: str, n: int, orbit: bool, shards: int, budget: int | None
     family "length-n" covers the length-n sequences and "egz" those of
     length 2n-1.  A length-n multiset that contains 0 has m = 1, so
     _zero_block settles their ranks [0, C(2n-2, n-1)) in closed form
-    (orbits by Burnside, no violation), and only the zero-free ranks are
-    walked and sharded.  The merged instances must equal the raw space,
-    so the walked covers must add up to C(2n-2, n) for length n.  The
-    budget is checked before the cache, so a scan is refused under a
-    budget below its raw space even when it ran before.
+    (orbits by Burnside, no violation).  From n = 5 a zero-free one that
+    holds an inverse pair has m = 2, and _pair_block settles those too,
+    so only the pair-free multisets of the zero-free ranks are walked
+    and sharded; up to n = 4 every zero-free one is.  Two checks follow
+    the merge: the instances must equal the raw space, so the walked
+    covers must add up to what the blocks leave of it, and the walked
+    leaves must equal the closed-form count of the walked class (its
+    unit orbits with orbit), which also sizes the pool.  The budget is
+    checked before the cache, so a scan is refused under a budget below
+    its raw space even when it ran before.
     """
-    scan, length = (_scan_length_n, n) if family == "length-n" else (_scan_egz, 2 * n - 1)
+    length = n if family == "length-n" else 2 * n - 1
     space = comb(n + length - 1, length)
     cap = _effective_budget(budget)
     if space > cap:
@@ -605,14 +687,26 @@ def _zn_bundle(family: str, n: int, orbit: bool, shards: int, budget: int | None
         )
     key = (family, n, orbit)
     if key not in _scan_cache:
-        # the closed-form block goes first, so first_tight keeps rank order
-        head = [_zero_block(n, orbit)] if family == "length-n" else []
-        start = head[0]["instances"] if head else 0
-        chunks = _split_range(start, space, shards)
-        merged = _merge_scans(head + _run_workers(scan, [(n, c, orbit) for c in chunks]))
+        if family == "length-n":
+            # the closed-form blocks go first, so first_tight keeps rank order
+            pair_free = n >= 5
+            head = [_zero_block(n, orbit)] + ([_pair_block(n, orbit)] if pair_free else [])
+            start = comb(2 * n - 2, n - 1)
+            leaves = _multisets(n, n, "pair-free" if pair_free else "zero-free", orbit)
+            chunks = _split_range(start, space, shards, leaves)
+            walked = _run_workers(_scan_length_n, [(n, c, orbit, pair_free) for c in chunks])
+        else:
+            head, leaves = [], None
+            chunks = _split_range(0, space, shards, space)
+            walked = _run_workers(_scan_egz, [(n, c, orbit) for c in chunks])
+        merged = _merge_scans(head + walked)
         # orbit sizes must account for the raw space exactly
         if merged["instances"] != space:
             raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")
+        if leaves is not None:
+            reached = sum(part["canonical"] for part in walked)
+            if reached != leaves:
+                raise RuntimeError(f"walk reached {reached} of {leaves} canonical multisets")
         _scan_cache[key] = merged
     return _scan_cache[key]
 

@@ -4,8 +4,9 @@ The oracles deliberately avoid the library's DP machinery: every
 subsequence is enumerated outright and orbit counts come from
 Burnside's formula, so any agreement with the fast paths is meaningful.
 packed_pairs only decodes the packed layout of sums.packed_translator.
-The unit action, its orbit representative and the units of a quadratic
-order live here because only the tests use them.  brute_element_orders
+The unit action, its orbit representative, the units of a quadratic
+order, element scaling and orders, and the sequence parser live here
+because only the tests use them.  brute_element_orders
 composes each form's powers on their own, as the reference for
 class_group's shared walks.
 """
@@ -13,12 +14,12 @@ class_group's shared walks.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import gcd, lcm
 from operator import add, mod
 
 from zerosum import quad
 from zerosum.errors import InvalidElementError
-from zerosum.groups import AbelianGroup, Element, ZSequence, units
+from zerosum.groups import AbelianGroup, Element, ZSequence, parse_entries, units
 
 
 def brute_sigma(seq: ZSequence) -> dict[Element, int]:
@@ -49,6 +50,11 @@ def brute_sigma(seq: ZSequence) -> dict[Element, int]:
 def brute_mz(seq: ZSequence) -> int | None:
     """Minimal nonempty zero-sum length, or None when zero-sum-free."""
     return brute_sigma(seq).get(seq.group.identity)
+
+
+def is_zero_sum_free(seq: ZSequence) -> bool:
+    """True when no nonempty subsequence sums to the identity."""
+    return brute_mz(seq) is None
 
 
 def all_multisets(group: AbelianGroup, length: int, nonzero: bool = False):
@@ -141,6 +147,27 @@ def burnside_orbit_count(n: int) -> int:
     count, rest = divmod(total, len(unit_list))
     assert rest == 0, "Burnside sum not divisible by phi(n)"
     return count
+
+
+# ---------------------------------------------------------------------------
+# group elements and sequences
+
+
+def element_scale(group: AbelianGroup, k: int, a: Element) -> Element:
+    """k-fold sum of a (k may be any integer)."""
+    group.validate(a)
+    return tuple((k * x) % n for x, n in zip(a, group.factors))
+
+
+def element_order(group: AbelianGroup, g: Element) -> int:
+    """Order of g: lcm over coordinates of n_j / gcd(n_j, g_j)."""
+    group.validate(g)
+    return lcm(*(n // gcd(n, c) for c, n in zip(g, group.factors)))
+
+
+def parse_sequence(group: AbelianGroup, text: str) -> ZSequence:
+    """Parse a comma-separated entry list into a canonical sequence."""
+    return ZSequence.from_iterable(group, parse_entries(group, text))
 
 
 # ---------------------------------------------------------------------------

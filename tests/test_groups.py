@@ -5,21 +5,24 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import canonical_orbit_representative, unit_multiply
+from conftest import (
+    canonical_orbit_representative,
+    element_order,
+    element_scale,
+    parse_sequence,
+    unit_multiply,
+)
 from zerosum.errors import InvalidElementError, ParseError
 from zerosum.groups import (
     AbelianGroup,
     ZSequence,
     element_add,
     element_neg,
-    element_order,
-    element_scale,
     format_element,
     groups_of_order,
     parse_element,
     parse_entries,
     parse_group,
-    parse_sequence,
     units,
 )
 

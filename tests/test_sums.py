@@ -14,12 +14,14 @@ from conftest import (
     brute_length_sums,
     brute_mz,
     brute_sigma,
+    is_zero_sum_free,
     packed_pairs,
+    parse_sequence,
     unit_multiply,
 )
 from zerosum import sums
 from zerosum.errors import BudgetExceededError
-from zerosum.groups import AbelianGroup, ZSequence, element_add, parse_sequence
+from zerosum.groups import AbelianGroup, ZSequence, element_add
 from zerosum.sums import (
     DENSE_ORDER_CAP,
     INFINITY,
@@ -27,7 +29,6 @@ from zerosum.sums import (
     cyclic_rotation_masks,
     davenport,
     has_zero_sum_of_size,
-    is_zero_sum_free,
     mz,
     packed_translator,
     support_size,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, prod
 from pathlib import Path
 
@@ -93,7 +93,9 @@ def test_walk_packed_leaves_match_subset_enumeration():
         assert all(list(c) == sorted(c) for c in seen)
 
 
-def _walk_leaves(n: int, length: int, ranks: tuple[int, int], orbit: bool = False) -> list:
+def _walk_leaves(
+    n: int, length: int, ranks: tuple[int, int], orbit: bool = False, pair_free: bool = False
+) -> list:
     out = []
     verify._walk_packed(
         n,
@@ -101,6 +103,7 @@ def _walk_leaves(n: int, length: int, ranks: tuple[int, int], orbit: bool = Fals
         ranks,
         lambda packed, combo, counts, cover: out.append((tuple(combo), packed, tuple(counts), cover)),
         orbit,
+        pair_free,
     )
     return out
 
@@ -227,15 +230,21 @@ def test_pool_threshold_picks_chunks(monkeypatch):
         "_scan_length_n": [[(comb(16, 8), comb(17, 9))]],
         "_scan_egz": [[(0, comb(16, 5))]],
     }
-    # from the threshold up, counted in walked ranks (C(12, 7) = 792 at
-    # n = 7, C(10, 6) = 210 at n = 6), the walk gets equal rank ranges
+    # from the threshold up, counted in the leaves the walk will reach (33
+    # pair-free unit orbits at n = 7, 22 at n = 6, and 44 pair-free
+    # multisets at n = 6 raw), the walk gets equal rank ranges
     verify.clear_caches()
     chunks.clear()
-    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", comb(12, 7))
+    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", 33)
     verify.verify_thm_main(7, shards=3)
     verify.verify_thm_main(6, shards=3)
+    verify.verify_thm_main(6, orbit_reduced=False, shards=2)
     assert chunks == {
-        "_scan_length_n": [[(924, 1188), (1188, 1452), (1452, 1716)], [(252, 462)]],
+        "_scan_length_n": [
+            [(924, 1188), (1188, 1452), (1452, 1716)],
+            [(252, 462)],
+            [(252, 357), (357, 462)],
+        ],
     }
 
 
@@ -243,7 +252,7 @@ def test_zero_block_equals_the_walk_over_its_ranks():
     # the old walk over the multisets that contain 0 is the oracle
     for n in range(1, 11):
         for orbit in (True, False):
-            walked = verify._scan_length_n((n, (0, comb(2 * n - 2, n - 1)), orbit))
+            walked = verify._scan_length_n((n, (0, comb(2 * n - 2, n - 1)), orbit, False))
             assert verify._zero_block(n, orbit) == walked, (n, orbit)
 
 
@@ -255,6 +264,64 @@ def test_zero_block_orbit_count_matches_brute_force():
             seq = ZSequence(group, tuple((v,) for v in (0,) + rest))
             reps.add(canonical_orbit_representative(group, seq).entries)
         assert verify._zero_block(n, True)["canonical"] == len(reps), n
+
+
+def test_pair_block_and_pair_free_walk_equal_the_unpruned_walk():
+    # the walk over every zero-free rank is the oracle
+    for n in range(5, 11):
+        ranks = (comb(2 * n - 2, n - 1), comb(2 * n - 1, n))
+        for orbit in (True, False):
+            full = verify._scan_length_n((n, ranks, orbit, False))
+            pruned = verify._scan_length_n((n, ranks, orbit, True))
+            assert verify._merge_scans([verify._pair_block(n, orbit), pruned]) == full, (n, orbit)
+
+
+def test_pair_free_walk_is_the_filtered_walk():
+    # every rank range of the pair-free walk replays the full walk's leaves
+    # in which no two entries sum to 0, covers and packed sums included
+    for n, length in ((4, 4), (5, 5), (6, 6), (4, 7), (7, 7)):
+        total = comb(n + length - 1, length)
+        for orbit in (False, True):
+            full = [
+                leaf
+                for leaf in _walk_leaves(n, length, (0, total), orbit)
+                if all((a + b) % n for a, b in combinations(leaf[0], 2))
+            ]
+            for k in (1, 2, 3, 7):
+                bounds = [total * i // k for i in range(k + 1)]
+                parts = [_walk_leaves(n, length, (a, b), orbit, True) for a, b in zip(bounds, bounds[1:])]
+                assert [leaf for p in parts for leaf in p] == full, (n, length, orbit, k)
+
+
+def test_zero_free_and_pair_free_counts_match_brute_force():
+    for n in range(1, 10):
+        group = AbelianGroup((n,))
+        zero_free, pair_free = set(), set()
+        raw = 0
+        for combo in combinations_with_replacement(range(1, n), n):
+            rep = canonical_orbit_representative(group, ZSequence(group, tuple((v,) for v in combo))).entries
+            zero_free.add(rep)
+            if all((a + b) % n for a, b in combinations(combo, 2)):
+                raw += 1
+                pair_free.add(rep)
+        assert verify._multisets(n, n, "zero-free", True) == len(zero_free), n
+        assert verify._multisets(n, n, "pair-free", False) == raw, n
+        assert verify._multisets(n, n, "pair-free", True) == len(pair_free), n
+
+
+@pytest.mark.parametrize("orbit,message", [(True, "reached 21 of 22"), (False, "reached 43 of 44")])
+def test_length_n_walk_check_catches_a_lost_canonical_leaf(monkeypatch, orbit, message):
+    # the covers still add up, but the walk reached one leaf too few
+    real = verify._scan_length_n
+
+    def short(args):
+        out = real(args)
+        out["canonical"] -= 1
+        return out
+
+    monkeypatch.setattr(verify, "_scan_length_n", short)
+    with pytest.raises(RuntimeError, match=message):
+        verify.verify_thm_main(6, orbit_reduced=orbit)
 
 
 @pytest.mark.parametrize("part", ["_zero_block", "_scan_length_n"])
@@ -274,13 +341,16 @@ def test_length_n_reconciliation_catches_a_lost_cover(monkeypatch, part):
 
 def test_import_and_small_scans_skip_pool_machinery():
     # a fresh interpreter: importing zerosum, and CLI runs whose scans all
-    # stay in process, never load concurrent.futures; a pooled scan does
+    # stay in process, never load concurrent.futures; a pooled scan does.
+    # The orbit-reduced n = 12 walk reaches 12,380 leaves and stays in
+    # process; EGZ at n = 8 walks 170,544 ranks and pools
     code = (
         "import contextlib, io, sys\n"
         "from zerosum import cli\n"
         "loaded = ['concurrent.futures' in sys.modules]\n"
         "for argv in (['verify', 'all', '--n-max', '6', '--shards', '2'],\n"
-        "             ['verify', 'support-bound', '--n', '12', '--shards', '2']):\n"
+        "             ['verify', 'support-bound', '--n', '12', '--shards', '2'],\n"
+        "             ['verify', 'egz', '--n', '8', '--shards', '2']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "    loaded.append('concurrent.futures' in sys.modules)\n"
@@ -291,7 +361,7 @@ def test_import_and_small_scans_skip_pool_machinery():
         [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, True]"
+    assert proc.stdout.strip() == "[False, False, False, True]"
 
 
 def test_full_length_constant_frozen_n6():
@@ -508,10 +578,12 @@ def test_fault_injection_is_isolated_by_cache_clear():
 
 
 def test_violation_rows_sorted_and_truncated(monkeypatch):
-    # force every instance to look wrong so truncation kicks in
+    # force every walked instance to look wrong so truncation kicks in;
+    # n = 9 walks 336 leaves, more than 2 * VIOLATION_LIMIT, so the scan
+    # trims its rows too
     monkeypatch.setattr(verify, "_leaf_min_zero_length", lambda by_len, limit: None)
     verify.clear_caches()
-    r = verify.verify_corollary_short_zero_sum(6)
+    r = verify.verify_corollary_short_zero_sum(9)
     assert not r.passed
     assert len(r.violations) == 100
     assert r.violations_total > 100
