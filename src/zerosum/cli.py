@@ -156,10 +156,14 @@ def _verify_reports(args: argparse.Namespace) -> list[verify.VerificationReport]
     statement = args.statement
     if args.n is not None and statement in ("all", "davenport-table"):
         raise ZerosumError(f"--n does not apply to '{statement}'; use --n-max")
+    if args.group is not None:
+        if statement != "sumset-growth":
+            raise ZerosumError(f"--group does not apply to '{statement}'")
+        if args.n is not None:
+            raise ZerosumError("--n and --group both name the group; give one")
+        return [verify.verify_sumset_lemmas(parse_group(args.group), budget=args.budget)]
     if statement == "all":
         return verify.verify_all(args.n_max, shards=args.shards, budget=args.budget)
-    if statement == "sumset-growth" and args.group is not None:
-        return [verify.verify_sumset_lemmas(parse_group(args.group), budget=args.budget)]
     return verify.verify_statement(
         statement, args.n_max, n=args.n, shards=args.shards, budget=args.budget
     )

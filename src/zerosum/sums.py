@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceededError
 from .groups import AbelianGroup, Element, ZSequence, element_add, element_neg
@@ -52,12 +53,13 @@ class SumSet:
     def values(self) -> tuple[Element, ...]:
         return tuple(v for v, _ in self.lengths)
 
+    @cached_property
+    def _by_value(self) -> dict[Element, int]:
+        # built on first lookup; not a field, so equality and repr ignore it
+        return dict(self.lengths)
+
     def min_length_of(self, g: Element) -> int | None:
-        g = self.group.validate(g)
-        for v, k in self.lengths:
-            if v == g:
-                return k
-        return None
+        return self._by_value.get(self.group.validate(g))
 
     def __contains__(self, g: Element) -> bool:
         return self.min_length_of(g) is not None

@@ -2,12 +2,13 @@
 
 Each checker enumerates a complete desk-scale instance space, evaluates
 one family of statements on every instance, and returns a report with
-counts, violations, and witnesses.  The two scans over Z_n go through
-one bundle builder, _zn_bundle, which runs each once per (scan, n,
-orbit) and caches the merged result; the checkers read their statements
-off it through one report builder, _zn_report.
-STATEMENTS lists every statement with its checker and its range of
-orders, and both verify_all and the CLI take those ranges from there.
+counts, violations, and witnesses.  A checker validates only its input
+(order, budget); one report builder, _report, builds every report: it
+runs the statement's scan once per key (the four length-n statements
+share one), emits the violations of the laws STATEMENTS lists for the
+statement, and adds the statement's details.  STATEMENTS also gives
+each checker and its range of orders, and both verify_all and the CLI
+take those ranges from there.
 
 A multiset S over Z_n that contains 0 has the zero-sum subsequence (0),
 so its minimal zero-sum length m is 1 and every length-n law holds on
@@ -103,11 +104,17 @@ WITNESS_LIMIT = 100
 POOL_MIN_INSTANCES = 40_000
 
 
-def _effective_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
+def _require_budget(space: int, budget: int | None, shown: str = "") -> None:
+    """Refuse a raw space above `budget`, else ZEROSUM_BUDGET, else RAW_ENUMERATION_CAP."""
     raw = os.environ.get("ZEROSUM_BUDGET")
-    return int(raw) if raw else RAW_ENUMERATION_CAP
+    if budget is None and raw:
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise DomainError(f"ZEROSUM_BUDGET must be an integer, got {raw!r}") from None
+    cap = RAW_ENUMERATION_CAP if budget is None else budget
+    if space > cap:
+        raise BudgetExceededError(f"raw space {shown}{space} exceeds budget {cap}")
 
 
 @dataclass
@@ -652,7 +659,7 @@ def _merge_scans(bundles: list[dict]) -> dict:
     return out
 
 
-# scan cache: the four length-n checkers share one enumeration pass
+# scan cache: statements that read one scan (the four length-n ones) share it
 _scan_cache: dict[tuple, dict] = {}
 
 
@@ -661,8 +668,35 @@ def clear_caches() -> None:
     _scan_cache.clear()
 
 
-def _zn_bundle(family: str, n: int, orbit: bool, shards: int, budget: int | None) -> dict:
-    """The merged result of one scan over Z_n, run once per (family, n, orbit).
+def _report(
+    statement_id: str, parameters: dict, key: tuple, scan, details, orbit_reduced: bool = False
+) -> VerificationReport:
+    """The one builder of a VerificationReport.
+
+    scan() runs once per cache key; the report takes its instances, the
+    violations of the laws STATEMENTS lists for statement_id, and
+    details(bundle).  Callers check order and budget first, so a scan is
+    refused under a budget below its raw space even when it ran before.
+    """
+    t0 = time.perf_counter()
+    if key not in _scan_cache:
+        _scan_cache[key] = scan()
+    bundle = _scan_cache[key]
+    rows, total = _emit_violations(bundle["viol"], STATEMENTS[statement_id][3])
+    return VerificationReport(
+        statement_id=statement_id,
+        parameters=parameters,
+        instances_checked=bundle["instances"],
+        orbit_reduced=orbit_reduced,
+        violations=rows,
+        violations_total=total,
+        details=details(bundle),
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    )
+
+
+def _zn_bundle(family: str, n: int, space: int, orbit: bool, shards: int) -> dict:
+    """The merged result of one scan over Z_n, whose raw space has `space` multisets.
 
     family "length-n" covers the length-n sequences and "egz" those of
     length 2n-1.  A length-n multiset that contains 0 has m = 1, so
@@ -670,45 +704,34 @@ def _zn_bundle(family: str, n: int, orbit: bool, shards: int, budget: int | None
     (orbits by Burnside, no violation).  From n = 5 a zero-free one that
     holds an inverse pair has m = 2, and _pair_block settles those too,
     so only the pair-free multisets of the zero-free ranks are walked
-    and sharded; up to n = 4 every zero-free one is.  Two checks follow
-    the merge: the instances must equal the raw space, so the walked
-    covers must add up to what the blocks leave of it, and the walked
-    leaves must equal the closed-form count of the walked class (its
-    unit orbits with orbit), which also sizes the pool.  The budget is
-    checked before the cache, so a scan is refused under a budget below
-    its raw space even when it ran before.
+    and sharded; up to n = 4 every zero-free one is.  EGZ walks every
+    rank, after _sharpness_block.  Two checks follow the merge: the
+    instances must equal the raw space, so the walked covers must add up
+    to what the blocks leave of it, and the walked length-n leaves must
+    equal the closed-form count of the walked class (its unit orbits
+    with orbit), which also sizes the pool.
     """
-    length = n if family == "length-n" else 2 * n - 1
-    space = comb(n + length - 1, length)
-    cap = _effective_budget(budget)
-    if space > cap:
-        raise BudgetExceededError(
-            f"raw space C({n + length - 1},{length}) = {space} exceeds budget {cap}"
-        )
-    key = (family, n, orbit)
-    if key not in _scan_cache:
-        if family == "length-n":
-            # the closed-form blocks go first, so first_tight keeps rank order
-            pair_free = n >= 5
-            head = [_zero_block(n, orbit)] + ([_pair_block(n, orbit)] if pair_free else [])
-            start = comb(2 * n - 2, n - 1)
-            leaves = _multisets(n, n, "pair-free" if pair_free else "zero-free", orbit)
-            chunks = _split_range(start, space, shards, leaves)
-            walked = _run_workers(_scan_length_n, [(n, c, orbit, pair_free) for c in chunks])
-        else:
-            head, leaves = [], None
-            chunks = _split_range(0, space, shards, space)
-            walked = _run_workers(_scan_egz, [(n, c, orbit) for c in chunks])
-        merged = _merge_scans(head + walked)
-        # orbit sizes must account for the raw space exactly
-        if merged["instances"] != space:
-            raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")
-        if leaves is not None:
-            reached = sum(part["canonical"] for part in walked)
-            if reached != leaves:
-                raise RuntimeError(f"walk reached {reached} of {leaves} canonical multisets")
-        _scan_cache[key] = merged
-    return _scan_cache[key]
+    if family == "length-n":
+        # the closed-form blocks go first, so first_tight keeps rank order
+        pair_free = n >= 5
+        head = [_zero_block(n, orbit)] + ([_pair_block(n, orbit)] if pair_free else [])
+        start = comb(2 * n - 2, n - 1)
+        leaves = _multisets(n, n, "pair-free" if pair_free else "zero-free", orbit)
+        chunks = _split_range(start, space, shards, leaves)
+        walked = _run_workers(_scan_length_n, [(n, c, orbit, pair_free) for c in chunks])
+    else:
+        head, leaves = [_sharpness_block(n)], None
+        chunks = _split_range(0, space, shards, space)
+        walked = _run_workers(_scan_egz, [(n, c, orbit) for c in chunks])
+    merged = _merge_scans(head + walked)
+    # orbit sizes must account for the raw space exactly
+    if merged["instances"] != space:
+        raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")
+    if leaves is not None:
+        reached = sum(part["canonical"] for part in walked)
+        if reached != leaves:
+            raise RuntimeError(f"walk reached {reached} of {leaves} canonical multisets")
+    return merged
 
 
 def _require_order(statement_id: str, n: int, name: str = "n") -> None:
@@ -721,7 +744,6 @@ def _zn_report(
     statement_id: str,
     family: str,
     n: int,
-    laws: tuple[str, ...],
     details,
     orbit_reduced: bool,
     shards: int,
@@ -733,18 +755,16 @@ def _zn_report(
     carries canonical_instances.
     """
     _require_order(statement_id, n)
-    t0 = time.perf_counter()
-    bundle = _zn_bundle(family, n, orbit_reduced, shards, budget)
-    rows, total = _emit_violations(bundle["viol"], laws)
-    return VerificationReport(
-        statement_id=statement_id,
-        parameters={"n": n},
-        instances_checked=bundle["instances"],
-        orbit_reduced=orbit_reduced,
-        violations=rows,
-        violations_total=total,
-        details={"canonical_instances": bundle["canonical"], **details(bundle)},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    length = n if family == "length-n" else 2 * n - 1
+    space = comb(n + length - 1, length)
+    _require_budget(space, budget, f"C({n + length - 1},{length}) = ")
+    return _report(
+        statement_id,
+        {"n": n} if family == "length-n" else {"n": n, "length": length},
+        (family, n, orbit_reduced),
+        lambda: _zn_bundle(family, n, space, orbit_reduced, shards),
+        lambda bundle: {"canonical_instances": bundle["canonical"], **details(bundle)},
+        orbit_reduced,
     )
 
 
@@ -776,16 +796,7 @@ def verify_thm_main(
             }
         }
 
-    return _zn_report(
-        "support-bound",
-        "length-n",
-        n,
-        ("support-bound", "min-length-n-minus-1-support", "min-length-n-minus-2-support"),
-        details,
-        orbit_reduced,
-        shards,
-        budget,
-    )
+    return _zn_report("support-bound", "length-n", n, details, orbit_reduced, shards, budget)
 
 
 def verify_prop_all_equal(
@@ -804,16 +815,7 @@ def verify_prop_all_equal(
             "witnesses": bundle["full_witnesses"],
         }
 
-    return _zn_report(
-        "full-length-constant",
-        "length-n",
-        n,
-        ("full-length-constant",),
-        details,
-        orbit_reduced,
-        shards,
-        budget,
-    )
+    return _zn_report("full-length-constant", "length-n", n, details, orbit_reduced, shards, budget)
 
 
 def verify_extremal_structure(
@@ -837,16 +839,7 @@ def verify_extremal_structure(
             "witnesses": {str(s): w for s, w in sorted(bundle["first_tight"].items())},
         }
 
-    return _zn_report(
-        "extremal-structure",
-        "length-n",
-        n,
-        ("tight-support-range", "tight-support-multiplicity", "tight-support-shape"),
-        details,
-        orbit_reduced,
-        shards,
-        budget,
-    )
+    return _zn_report("extremal-structure", "length-n", n, details, orbit_reduced, shards, budget)
 
 
 def verify_corollary_short_zero_sum(
@@ -859,14 +852,7 @@ def verify_corollary_short_zero_sum(
     """Support forces short zero-sums: a length-n sequence over Z_n with
     s distinct entries has a zero-sum subsequence of length <= n-s+1."""
     return _zn_report(
-        "short-zero-sum",
-        "length-n",
-        n,
-        ("short-zero-sum-bound",),
-        lambda bundle: {},
-        orbit_reduced,
-        shards,
-        budget,
+        "short-zero-sum", "length-n", n, lambda bundle: {}, orbit_reduced, shards, budget
     )
 
 
@@ -933,33 +919,13 @@ def verify_sumset_lemmas(
         raise DomainError(f"sumset-growth needs k_max >= 1, got {k_max}")
     order = group.order
     _require_order("sumset-growth", order, "|G|")
-    cap = _effective_budget(budget)
-    space = sum(comb(order - 2 + k, k) for k in range(1, k_max + 1))
-    if space > cap:
-        raise BudgetExceededError(f"raw space {space} exceeds budget {cap}")
-    t0 = time.perf_counter()
-    key = ("zero-sum-free", group.factors, k_max)
-    if key not in _scan_cache:
-        _scan_cache[key] = _scan_zero_sum_free(group, k_max)
-    bundle = _scan_cache[key]
-    rows, total = _emit_violations(
-        bundle["viol"],
-        (
-            "sigma-size-at-least-k",
-            "sigma-size-support-bound",
-            "sigma-growth-step",
-            "sigma-size-k-constant",
-        ),
-    )
-    return VerificationReport(
-        statement_id="sumset-growth",
-        parameters={"group": str(group), "k_max": k_max},
-        instances_checked=bundle["instances"],
-        orbit_reduced=False,
-        violations=rows,
-        violations_total=total,
-        details={"canonical_instances": bundle["instances"]},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    _require_budget(sum(comb(order - 2 + k, k) for k in range(1, k_max + 1)), budget)
+    return _report(
+        "sumset-growth",
+        {"group": str(group), "k_max": k_max},
+        ("zero-sum-free", group.factors, k_max),
+        lambda: _scan_zero_sum_free(group, k_max),
+        lambda bundle: {"canonical_instances": bundle["instances"]},
     )
 
 
@@ -984,6 +950,15 @@ def _scan_egz(args: tuple) -> dict:
     return out
 
 
+def _sharpness_block(n: int) -> dict:
+    """The EGZ scan's sharpness check: n-1 zeros with n-1 ones have no n-term zero-sum."""
+    out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
+    sharp = [0] * (n - 1) + [1] * (n - 1)
+    if sums.has_zero_sum_of_size(ZSequence.from_iterable(AbelianGroup((n,)), sharp), n):
+        _add_violation(out["viol"], "sharpness-witness", sharp, "has exact-n zero-sum", "none")
+    return out
+
+
 def verify_egz(
     n: int,
     *,
@@ -993,25 +968,14 @@ def verify_egz(
 ) -> VerificationReport:
     """Every multiset of 2n-1 residues mod n contains n of them summing
     to zero; the bound is sharp, witnessed by n-1 zeros with n-1 ones."""
-    report = _zn_report(
-        "egz", "egz", n, ("exact-n-zero-sum",), lambda bundle: {}, orbit_reduced, shards, budget
-    )
-    sharp = [0] * (n - 1) + [1] * (n - 1)
-    sharp_ok = not sums.has_zero_sum_of_size(ZSequence.from_iterable(AbelianGroup((n,)), sharp), n)
-    if not sharp_ok:
-        report.violations_total += 1
-        report.violations.append(
-            {
-                "law": "sharpness-witness",
-                "sequence": sharp,
-                "observed": "has exact-n zero-sum",
-                "expected": "none",
-            }
-        )
-    report.parameters["length"] = 2 * n - 1
-    report.details["sharpness_witness"] = sharp
-    report.details["sharpness_confirmed"] = sharp_ok
-    return report
+
+    def details(bundle: dict) -> dict:
+        return {
+            "sharpness_witness": [0] * (n - 1) + [1] * (n - 1),
+            "sharpness_confirmed": "sharpness-witness" not in bundle["viol"]["totals"],
+        }
+
+    return _zn_report("egz", "egz", n, details, orbit_reduced, shards, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,6 +1005,7 @@ def _davenport_rows(max_order: int) -> dict:
                     result.value,
                     m if group.is_cyclic else f"< {m}",
                 )
+    out["instances"] = len(out["rows"])
     return out
 
 
@@ -1054,41 +1019,52 @@ def verify_davenport_table(max_order: int = DAVENPORT_TABLE_CAP) -> Verification
         raise BudgetExceededError(
             f"davenport table capped at order {DAVENPORT_TABLE_CAP}, got {max_order}"
         )
-    t0 = time.perf_counter()
-    key = ("davenport-table", max_order)
-    if key not in _scan_cache:
-        _scan_cache[key] = _davenport_rows(max_order)
-    bundle = _scan_cache[key]
-    rows, total = _emit_violations(
-        bundle["viol"], ("davenport-order-bound", "davenport-cyclic-equality")
-    )
-    return VerificationReport(
-        statement_id="davenport-table",
-        parameters={"max_order": max_order},
-        instances_checked=len(bundle["rows"]),
-        orbit_reduced=False,
-        violations=rows,
-        violations_total=total,
-        details={"table": bundle["rows"]},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    return _report(
+        "davenport-table",
+        {"max_order": max_order},
+        ("davenport-table", max_order),
+        lambda: _davenport_rows(max_order),
+        lambda bundle: {"table": bundle["rows"]},
     )
 
 
 # ---------------------------------------------------------------------------
 
 
-# statement id -> (checker, lowest order, highest order or None).  The
-# orders are n for the Z_n statements, the cyclic groups Z_n for
+# statement id -> (checker, lowest order, highest order or None, laws).
+# The orders are n for the Z_n statements, the cyclic groups Z_n for
 # sumset-growth, and max_order for davenport-table, whose one report
-# covers every order up to the highest.
+# covers every order up to the highest.  The laws are the violation rows
+# the statement's report shows, read off its scan by _report.
 STATEMENTS = {
-    "support-bound": (verify_thm_main, 2, None),
-    "full-length-constant": (verify_prop_all_equal, 1, None),
-    "extremal-structure": (verify_extremal_structure, 2, None),
-    "short-zero-sum": (verify_corollary_short_zero_sum, 1, None),
-    "sumset-growth": (verify_sumset_lemmas, 2, 10),
-    "egz": (verify_egz, 2, 6),
-    "davenport-table": (verify_davenport_table, 1, DAVENPORT_TABLE_CAP),
+    "support-bound": (
+        verify_thm_main,
+        2,
+        None,
+        ("support-bound", "min-length-n-minus-1-support", "min-length-n-minus-2-support"),
+    ),
+    "full-length-constant": (verify_prop_all_equal, 1, None, ("full-length-constant",)),
+    "extremal-structure": (
+        verify_extremal_structure,
+        2,
+        None,
+        ("tight-support-range", "tight-support-multiplicity", "tight-support-shape"),
+    ),
+    "short-zero-sum": (verify_corollary_short_zero_sum, 1, None, ("short-zero-sum-bound",)),
+    "sumset-growth": (
+        verify_sumset_lemmas,
+        2,
+        10,
+        ("sigma-size-at-least-k", "sigma-size-support-bound", "sigma-growth-step",
+         "sigma-size-k-constant"),
+    ),
+    "egz": (verify_egz, 2, 6, ("exact-n-zero-sum", "sharpness-witness")),
+    "davenport-table": (
+        verify_davenport_table,
+        1,
+        DAVENPORT_TABLE_CAP,
+        ("davenport-order-bound", "davenport-cyclic-equality"),
+    ),
 }
 
 
@@ -1105,7 +1081,7 @@ def verify_statement(
     or at the single order n.  `shards` and `orbit_reduced` apply to the
     scans over Z_n only.  An n_max below the statement's floor leaves no
     order to check and raises DomainError."""
-    check, floor, cap = STATEMENTS[statement]
+    check, floor, cap, _ = STATEMENTS[statement]
     top = n_max if cap is None else min(n_max, cap)
     if n is None and top < floor:
         raise DomainError(f"{statement} needs n_max >= {floor}, got {n_max}")
@@ -1123,20 +1099,19 @@ def verify_all(
     orbit_reduced: bool = True,
     shards: int = 1,
     budget: int | None = None,
-    davenport_max_order: int | None = None,
 ) -> list[VerificationReport]:
     """Run every statement in STATEMENTS over its orders up to n_max.
 
     Each statement starts at its own hypothesis floor; sum-set growth
     and EGZ stop at their own caps, since their spaces grow on a
-    different scale.  davenport_max_order replaces the table's order.
+    different scale.
     """
     if n_max < 2:
         raise DomainError(f"verify_all needs n_max >= 2, got {n_max}")
-    reports: list[VerificationReport] = []
-    for statement in STATEMENTS:
-        single = davenport_max_order if statement == "davenport-table" else None
-        reports += verify_statement(
-            statement, n_max, n=single, orbit_reduced=orbit_reduced, shards=shards, budget=budget
+    return [
+        report
+        for statement in STATEMENTS
+        for report in verify_statement(
+            statement, n_max, orbit_reduced=orbit_reduced, shards=shards, budget=budget
         )
-    return reports
+    ]

@@ -34,9 +34,10 @@ _BUNDLES: dict[int, list[verify.VerificationReport]] = {}
 def _bundle11(shards: int) -> list[verify.VerificationReport]:
     if shards not in _BUNDLES:
         verify.clear_caches()
-        _BUNDLES[shards] = verify.verify_all(
-            11, shards=shards, davenport_max_order=16
-        )
+        # verify_all(11) with the Davenport table at its cap, order 16
+        _BUNDLES[shards] = verify.verify_all(11, shards=shards)[:-1] + [
+            verify.verify_davenport_table(16)
+        ]
     return _BUNDLES[shards]
 
 
@@ -253,11 +254,12 @@ def test_criterion_10_shard_determinism():
     )
 
 
-# sha256 of reports_to_json(verify_all(11, davenport_max_order=16),
-# include_elapsed=False); a change here needs a stated reason, not just a
-# new digest.  It last changed when the zero-sum-free scan dropped orbit
-# reduction: the nine sumset-growth reports now read orbit_reduced false
-# and canonical_instances equal to instances_checked, and nothing else moved.
+# sha256 of reports_to_json(_bundle11(1), include_elapsed=False), that is
+# verify_all(11) with the Davenport table at order 16; a change here needs
+# a stated reason, not just a new digest.  It last changed when the
+# zero-sum-free scan dropped orbit reduction: the nine sumset-growth
+# reports now read orbit_reduced false and canonical_instances equal to
+# instances_checked, and nothing else moved.
 BUNDLE11_SHA256 = "504419e3651b8134a3291384442a028b47e3c7fc9f43ad47b125e77943cfd1f1"
 
 

@@ -171,13 +171,25 @@ def test_verify_rejects_n_for_all(capsys):
         ("davenport-table", "--n-max", "0"),
         ("support-bound", "--n-max", "1"),
         ("egz", "--n-max", "1"),
+        ("support-bound", "--n", "5", "--group", "Z7"),
+        ("all", "--group", "Z7"),
+        ("sumset-growth", "--group", "Z7", "--n", "3"),
     ],
 )
 def test_verify_order_below_floor_exits_two(capsys, argv):
-    # exit 1 means violations found; an order out of range is bad input
+    # exit 1 means violations found; an order out of range, or a flag that
+    # does not apply, is bad input
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+def test_verify_rejects_a_non_integer_budget(capsys, monkeypatch):
+    monkeypatch.setenv("ZEROSUM_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "verify", "support-bound", "--n", "5")
+    assert code == 2
+    assert err.startswith("error: ") and "ZEROSUM_BUDGET" in err
     assert "Traceback" not in out + err
 
 

@@ -150,7 +150,13 @@ def test_sumset_and_mz_match_brute_force_random(data):
         for _ in range(length)
     ]
     seq = ZSequence.from_iterable(group, entries)
-    assert dict(sumset(seq).lengths) == brute_sigma(seq)
+    ss = sumset(seq)
+    sigma = brute_sigma(seq)
+    assert dict(ss.lengths) == sigma
+    # the lookups answer for every element of G, in the sum set and outside it
+    for g in group.elements():
+        assert ss.min_length_of(g) == sigma.get(g)
+        assert (g in ss) == (g in sigma)
     expect = brute_mz(seq)
     result = mz(seq)
     assert result.value == (INFINITY if expect is None else expect)

@@ -3,6 +3,7 @@ determinism across shard counts, and fault injection."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -591,6 +592,20 @@ def test_violation_rows_sorted_and_truncated(monkeypatch):
     assert keys == sorted(keys)
 
 
+def test_egz_sharpness_row_obeys_the_violation_limit(monkeypatch):
+    # zero masks: no prefix gains a sum, so every EGZ leaf lacks an n-term
+    # zero-sum; and the sharpness witness is made to hold one
+    monkeypatch.setattr(sums, "cyclic_rotation_masks", lambda n, blocks: ([0] * n, [0] * n))
+    monkeypatch.setattr(sums, "has_zero_sum_of_size", lambda seq, size: True)
+    r = verify.verify_egz(6)
+    assert r.details["canonical_instances"] > verify.VIOLATION_LIMIT
+    assert len(r.violations) == verify.VIOLATION_LIMIT
+    keys = [(row["law"], tuple(row["sequence"]), str(row["observed"])) for row in r.violations]
+    assert keys == sorted(keys)
+    assert r.violations_total == r.details["canonical_instances"] + 1
+    assert r.details["sharpness_confirmed"] is False
+
+
 def test_violation_rows_are_the_smallest_whatever_the_visit_order(monkeypatch):
     # sum sets that never grow past the entries themselves break the growth
     # laws thousands of times; the rows kept must be the smallest by the
@@ -604,3 +619,36 @@ def test_violation_rows_are_the_smallest_whatever_the_visit_order(monkeypatch):
     first_law = full.violations[0]["law"]
     assert sum(row["law"] == first_law for row in full.violations) > 100
     assert kept.violations == full.violations[:100]
+
+
+def test_checkers_answer_the_benchmark_calls():
+    # the calls zsbench/passrun.py makes, at small orders: an API slip
+    # fails here rather than in the benchmark
+    verify.clear_caches()
+    for name in (
+        "verify_thm_main",
+        "verify_prop_all_equal",
+        "verify_extremal_structure",
+        "verify_corollary_short_zero_sum",
+    ):
+        fn = getattr(verify, name)
+        assert fn.__name__ == name
+        for n, r in ((6, fn(6)), (7, fn(7, shards=2))):
+            assert r.passed and r.parameters == {"n": n}
+            assert r.instances_checked == comb(2 * n - 1, n)
+            assert isinstance(r.details["canonical_instances"], int)
+    assert "orbit_reduced" in inspect.signature(verify.verify_thm_main).parameters
+    verify.clear_caches()
+    raw = verify.verify_thm_main(7, orbit_reduced=False)
+    assert raw.passed and raw.details["canonical_instances"] == raw.instances_checked
+    egz = verify.verify_egz(4)
+    assert egz.passed and egz.parameters == {"n": 4, "length": 7}
+    assert egz.instances_checked == comb(10, 3)
+    growth = verify.verify_sumset_lemmas(AbelianGroup((2, 4)), 3)
+    assert growth.passed and growth.parameters == {"group": "Z2xZ4", "k_max": 3}
+    table = verify.verify_davenport_table(16)
+    assert table.passed and table.parameters == {"max_order": 16}
+    verify.clear_caches()
+    reports = verify.verify_all(8, shards=2)
+    assert all(r.passed for r in reports)
+    assert [r.statement_id for r in reports][-1] == "davenport-table"
