@@ -156,6 +156,11 @@ def _verify_reports(args: argparse.Namespace) -> list[verify.VerificationReport]
     statement = args.statement
     if args.n is not None and statement in ("all", "davenport-table"):
         raise ZerosumError(f"--n does not apply to '{statement}'; use --n-max")
+    if args.budget is not None and statement == "davenport-table":
+        raise ZerosumError("--budget does not apply to 'davenport-table'")
+    if args.n_max is not None and (args.n is not None or args.group is not None):
+        raise ZerosumError("--n-max does not apply with --n or --group")
+    n_max = 8 if args.n_max is None else args.n_max
     if args.group is not None:
         if statement != "sumset-growth":
             raise ZerosumError(f"--group does not apply to '{statement}'")
@@ -163,9 +168,9 @@ def _verify_reports(args: argparse.Namespace) -> list[verify.VerificationReport]
             raise ZerosumError("--n and --group both name the group; give one")
         return [verify.verify_sumset_lemmas(parse_group(args.group), budget=args.budget)]
     if statement == "all":
-        return verify.verify_all(args.n_max, shards=args.shards, budget=args.budget)
+        return verify.verify_all(n_max, shards=args.shards, budget=args.budget)
     return verify.verify_statement(
-        statement, args.n_max, n=args.n, shards=args.shards, budget=args.budget
+        statement, n_max, n=args.n, shards=args.shards, budget=args.budget
     )
 
 
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive verification of the package laws")
     p.add_argument("statement", choices=VERIFY_STATEMENTS)
     p.add_argument("--n", type=int, default=None, help="single cyclic order to check")
-    p.add_argument("--n-max", type=int, default=8, help="check cyclic orders up to this")
+    p.add_argument("--n-max", type=int, default=None, help="check cyclic orders up to this (default 8)")
     p.add_argument("--group", default=None, help="explicit group (sumset-growth only)")
     p.add_argument("--shards", type=int, default=os.cpu_count() or 1)
     p.add_argument("--budget", type=int, default=None, help="max raw instances per bundle")

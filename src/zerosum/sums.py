@@ -7,12 +7,13 @@ of a group.  Everything here is exact; dynamic programming over the
 group's index space replaces subset enumeration.
 
 Sets of group elements are the bits of an int: bit v stands for the
-element of index v (AbelianGroup.index_of), and a packed int may hold
-several such |G|-bit blocks side by side.  One step, packed_translator,
-adds an element to every set in every block for any group: `mz` and
-`sumset` keep one block per bound L (the sums of at most L entries),
-`has_zero_sum_of_size` and the Z_n scans in `verify` one per exact
-length, and `davenport` and the zero-sum-free scan a single sum set.
+element of index v (AbelianGroup.index_of), and an int holds one such
+|G|-bit set.  One step, packed_translator, adds an element to a set for
+any group: `mz` and `sumset` keep one set per bound L (the sums of at
+most L entries), `has_zero_sum_of_size` one per exact length, and
+`davenport` and the zero-sum-free scan in `verify` a single sum set.
+Only the Z_n scans in `verify` pack several n-bit sets side by side,
+one per exact length, through the rank-1 step cyclic_add_residue.
 """
 
 from __future__ import annotations
@@ -126,17 +127,14 @@ def _rotation_masks(radix: int, stride: int, c: int, width: int) -> tuple[int, i
     return lo & full, hi & full
 
 
-def packed_translator(group: AbelianGroup, blocks: int = 1):
-    """translate(x, g): the sets packed in x, each moved by the element g.
+def packed_translator(group: AbelianGroup):
+    """translate(x, g): the set x of elements, moved by the element g.
 
-    x holds `blocks` |G|-bit blocks; the result holds g + (each block) in
-    its place and nothing at or above bit blocks * |G|, except that the
-    identity returns x unchanged.  Masks are built lazily, one pair per
-    (digit, shift) that occurs: prebuilt for every residue of Z10000 they
-    took 2.7 GB.
+    x is a |G|-bit set; the result is g + x, also within |G| bits.
+    Masks are built lazily, one pair per (digit, shift) that occurs:
+    prebuilt for every residue of Z10000 they took 2.7 GB.
     """
     factors = group.factors
-    width = blocks * group.order
     strides = [math.prod(factors[j + 1:]) for j in range(len(factors))]
     masks: dict[tuple[int, int], tuple[int, int, int, int]] = {}
     steps: dict[Element, list[tuple[int, int, int, int]]] = {}
@@ -145,7 +143,7 @@ def packed_translator(group: AbelianGroup, blocks: int = 1):
         step = masks.get((j, c))
         if step is None:
             n, s = factors[j], strides[j]
-            lo, hi = _rotation_masks(n, s, c, width)
+            lo, hi = _rotation_masks(n, s, c, group.order)
             step = masks[j, c] = (c * s, lo, (n - c) * s, hi)
         return step
 
@@ -260,28 +258,29 @@ def support_size(seq: ZSequence) -> int:
 def has_zero_sum_of_size(seq: ZSequence, size: int) -> bool:
     """True when some subsequence of exactly `size` entries sums to zero.
 
-    Block L of the packed int (bits L*|G| .. (L+1)*|G| - 1) holds the
-    sums of exactly L entries; the empty sequence packs to 1.
+    exact[L] is the |G|-bit set of sums of exactly L entries, and
+    exact[0] = {0}.  Each entry g sets exact[L] |= g + exact[L-1] for L
+    from the top down, so no entry is counted twice.
     """
     if size < 1 or size > len(seq):
         return False
     group = seq.group
     _check_dense_budget(group)
-    order = group.order
-    translate = packed_translator(group, size)
-    below = (1 << size * order) - 1
-    x = 1
+    translate = packed_translator(group)
+    exact = [1] + [0] * size
     for g in seq.entries:
-        x |= translate(x & below, g) << order
-    return bool(x >> (size * order) & 1)
+        for L in range(size, 0, -1):
+            exact[L] |= translate(exact[L - 1], g)
+    return bool(exact[size] & 1)
 
 
 # ---------------------------------------------------------------------------
 # packed cardinality-resolved subset sums over a single cyclic factor
 #
-# The rank-1 case of has_zero_sum_of_size's layout, for the scans in
-# verify: bit L*n + r is set when some L entries sum to r mod n.  Adding
-# a residue v rotates every n-bit block by v and moves it up one block.
+# The layout of the scans over Z_n in verify: one int holds the sets of
+# every exact length, bit L*n + r set when some L entries sum to r mod n.
+# Adding a residue v rotates every n-bit block by v and moves it up one
+# block.
 
 
 def cyclic_rotation_masks(n: int, blocks: int) -> tuple[list[int], list[int]]:

@@ -3,18 +3,20 @@
 The oracles deliberately avoid the library's DP machinery: every
 subsequence is enumerated outright and orbit counts come from
 Burnside's formula, so any agreement with the fast paths is meaningful.
-packed_pairs only decodes the packed layout of sums.packed_translator.
+packed_pairs only decodes the packed layout of the Z_n scans
+(sums.cyclic_add_residue: bit L*|G| + v).
 The unit action, its orbit representative, the units of a quadratic
 order, element scaling and orders, and the sequence parser live here
 because only the tests use them.  brute_element_orders
 composes each form's powers on their own, as the reference for
-class_group's shared walks.
+class_group's shared walks, and brute_reduced_forms enumerates reduced
+forms over (a, b) as the reference for quad.reduced_forms' (a, c) walk.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mod
 
 from zerosum import quad
@@ -236,3 +238,26 @@ def brute_element_orders(forms: tuple[quad.Form, ...], ident: quad.Form) -> list
                 raise AssertionError(f"order of {f} exceeds the class number {h}")
         element_orders.append(o)
     return element_orders
+
+
+def brute_reduced_forms(disc: int) -> tuple[quad.Form, ...]:
+    """Reduced primitive forms of a negative discriminant, by a loop over
+    a up to sqrt(|disc|/3) and b across (-a, a] with the parity of disc;
+    c comes from the discriminant equation (about |disc|/3 steps)."""
+    out = []
+    for a in range(1, isqrt(-disc // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b - disc) % 2:
+                continue
+            num = b * b - disc
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if a == c and b < 0:
+                continue
+            if gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            out.append((a, b, c))
+    return tuple(sorted(out))

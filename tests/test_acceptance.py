@@ -12,7 +12,7 @@ import random
 import time
 from math import comb
 
-from conftest import associates, brute_davenport, brute_sigma, burnside_orbit_count
+from conftest import associates, brute_davenport, brute_reduced_forms, brute_sigma, burnside_orbit_count
 from zerosum import cli, quad, sums, verify
 from zerosum.groups import AbelianGroup, ZSequence, groups_of_order
 from zerosum.sums import INFINITY
@@ -231,7 +231,7 @@ def test_criterion_09_class_numbers_two_paths():
     ok = all(quad.class_group(quad.QuadOrder(d)).order_h == h for d, h in spot.items())
     fundamentals = [D for D in range(-3, -1001, -1) if _is_fundamental(D)]
     for D in fundamentals:
-        ok &= quad.reduced_forms(D) == quad._reduced_forms_scan(D)
+        ok &= quad.reduced_forms(D) == brute_reduced_forms(D)
     _report(
         9,
         ok,

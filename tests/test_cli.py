@@ -174,6 +174,9 @@ def test_verify_rejects_n_for_all(capsys):
         ("support-bound", "--n", "5", "--group", "Z7"),
         ("all", "--group", "Z7"),
         ("sumset-growth", "--group", "Z7", "--n", "3"),
+        ("davenport-table", "--n-max", "6", "--budget", "1"),
+        ("sumset-growth", "--group", "Z7", "--n-max", "3"),
+        ("support-bound", "--n", "7", "--n-max", "3"),
     ],
 )
 def test_verify_order_below_floor_exits_two(capsys, argv):

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import associates, brute_element_orders, units_of
+from conftest import associates, brute_element_orders, brute_reduced_forms, units_of
 from zerosum import quad
 from zerosum.errors import (
     ArityError,
@@ -199,10 +199,21 @@ def test_reduced_forms_frozen_lists():
         quad.reduced_forms(8)
 
 
+# squarefree d with 50,000 <= |D| <= 100,000, both kinds of discriminant
+LARGE_D = [
+    14702, 18169, 21778, 24497, 55163, 61863, 67967, 70211, 75439,
+    81863, 83599, 83967, 87307, 88403, 90487, 95479, 98015, 98783,
+]
+
+
 def test_two_enumeration_routes_agree():
     for D in range(-3, -2001, -1):
         if D % 4 in (0, 1):
-            assert quad.reduced_forms(D) == quad._reduced_forms_scan(D), D
+            assert quad.reduced_forms(D) == brute_reduced_forms(D), D
+    for d in LARGE_D:
+        D = quad.QuadOrder(d).discriminant
+        assert 50_000 <= -D <= 100_000, d
+        assert quad.reduced_forms(D) == brute_reduced_forms(D), d
 
 
 def test_compose_group_laws_d26():

@@ -4,6 +4,8 @@ cross-checked against exponential brute force."""
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -44,19 +46,26 @@ def seq_of(n: int, values) -> ZSequence:
     return ZSequence.from_iterable(AbelianGroup((n,)), [(v,) for v in values])
 
 
-def packed_sums(group: AbelianGroup, entries, blocks: int) -> int:
-    """Fold the packed step over entries, keeping lengths 0..blocks."""
-    translate = packed_translator(group, blocks)
-    below = (1 << blocks * group.order) - 1
-    x = 1
+def exact_length_sets(group: AbelianGroup, entries, top: int) -> list[int]:
+    """Fold the single-set step over entries: out[L] is the |G|-bit set of
+    sums of exactly L entries, for L = 0..top."""
+    translate = packed_translator(group)
+    exact = [1] + [0] * top
     for g in entries:
-        x |= translate(x & below, g) << group.order
-    return x
+        for L in range(top, 0, -1):
+            exact[L] |= translate(exact[L - 1], g)
+    return exact
 
 
-def cyclic_packed_sums(n: int, values, blocks: int) -> int:
-    """The same fold through the Z_n scans' rank-1 step."""
-    lo, hi = cyclic_rotation_masks(n, blocks)
+def packed_sums(group: AbelianGroup, entries, top: int) -> int:
+    """The sets of exact_length_sets side by side, set L at bit L*|G|, as
+    the Z_n scans pack them."""
+    return sum(x << L * group.order for L, x in enumerate(exact_length_sets(group, entries, top)))
+
+
+def cyclic_packed_sums(n: int, values, top: int) -> int:
+    """The same sets through the Z_n scans' rank-1 step."""
+    lo, hi = cyclic_rotation_masks(n, top)
     x = 1
     for v in values:
         x = cyclic_add_residue(x, v % n, n, lo, hi)
@@ -191,6 +200,25 @@ def test_has_zero_sum_of_size_matches_brute_force():
             assert has_zero_sum_of_size(seq, size) == brute
 
 
+def test_has_zero_sum_of_size_memory_is_its_sets_and_masks():
+    # size + 1 sets of |G| bits, plus two |G|-bit masks per distinct
+    # (digit, shift): 0.38 MB here, where one size*|G|-bit int rotated
+    # under masks as wide peaked at 26 MB
+    group = AbelianGroup((10000,))
+    rng = random.Random(1)
+    seq = ZSequence.from_iterable(group, [(rng.randrange(10000),) for _ in range(100)])
+    size = 100
+    shifts = sum(1 for g in seq.support if g != group.identity)
+    formula = (size + 1 + 2 * shifts) * group.order // 8
+    tracemalloc.start()
+    try:
+        has_zero_sum_of_size(seq, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * formula <= 1 << 20, (peak, formula)
+
+
 def test_zero_sum_free_iff_mz_infinite():
     for n, values in FIXED_CASES:
         seq = seq_of(n, values)
@@ -248,7 +276,7 @@ def test_packed_step_matches_subset_enumeration(data):
     got = packed_sums(group, entries, k)
     assert got >> ((k + 1) * order) == 0
     assert packed_pairs(order, got) == expect
-    # cut at |G| blocks, as the length 2n-1 scan keeps it: the bits of
+    # cut at |G| lengths, as the length 2n-1 scan keeps it: the bits of
     # lengths 0..|G| survive unchanged and nothing lands above them
     cut = packed_sums(group, entries, order)
     assert cut == got & ((1 << ((order + 1) * order)) - 1)
@@ -257,11 +285,15 @@ def test_packed_step_matches_subset_enumeration(data):
         values = [g[0] for g in entries]
         assert cyclic_packed_sums(order, values, k) == got
         assert cyclic_packed_sums(order, values, order) == cut
-    # one translation moves every block below the top and drops the rest
-    translate = packed_translator(group, k)
-    for g in set(entries) - {group.identity}:
-        moved = {(L, group.index_of(element_add(group, group.element_at(v), g))) for L, v in expect if L < k}
-        assert packed_pairs(order, translate(got, g)) == moved
+    # one translation moves each set by g and stays within |G| bits
+    translate = packed_translator(group)
+    sets = exact_length_sets(group, entries, k)
+    for g in set(entries) | {group.identity, widest}:
+        for L, x in enumerate(sets):
+            moved = {group.index_of(element_add(group, group.element_at(v), g)) for M, v in expect if M == L}
+            y = translate(x, g)
+            assert y >> order == 0
+            assert {v for _, v in packed_pairs(order, y)} == moved
 
 
 ORACLE_GROUPS = [(n,) for n in range(1, 13)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)]

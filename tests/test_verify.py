@@ -610,7 +610,7 @@ def test_violation_rows_are_the_smallest_whatever_the_visit_order(monkeypatch):
     # sum sets that never grow past the entries themselves break the growth
     # laws thousands of times; the rows kept must be the smallest by the
     # report's sort key, not the first met by the level-wise scan
-    monkeypatch.setattr(sums, "packed_translator", lambda group, blocks=1: lambda x, g: 0)
+    monkeypatch.setattr(sums, "packed_translator", lambda group: lambda x, g: 0)
     kept = verify.verify_sumset_lemmas(AbelianGroup((8,)), 6)
     verify.clear_caches()
     monkeypatch.setattr(verify, "VIOLATION_LIMIT", 10**6)
