@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 
 from . import quad, sums, verify
-from .errors import ZerosumError
+from .errors import DomainError, ZerosumError
 from .groups import (
     AbelianGroup,
     Element,
@@ -160,6 +160,8 @@ def _verify_reports(args: argparse.Namespace) -> list[verify.VerificationReport]
         raise ZerosumError("--budget does not apply to 'davenport-table'")
     if args.n_max is not None and (args.n is not None or args.group is not None):
         raise ZerosumError("--n-max does not apply with --n or --group")
+    if args.shards < 1:
+        raise DomainError(f"--shards must be >= 1, got {args.shards}")
     n_max = 8 if args.n_max is None else args.n_max
     if args.group is not None:
         if statement != "sumset-growth":

@@ -11,7 +11,8 @@ element of index v (AbelianGroup.index_of), and an int holds one such
 |G|-bit set.  One step, packed_translator, adds an element to a set for
 any group: `mz` and `sumset` keep one set per bound L (the sums of at
 most L entries), `has_zero_sum_of_size` one per exact length, and
-`davenport` and the zero-sum-free scan in `verify` a single sum set.
+`davenport` and the zero-sum-free scan in `verify` one sum set per depth
+of their search.
 Only the Z_n scans in `verify` pack several n-bit sets side by side,
 one per exact length, through the rank-1 step cyclic_add_residue.
 """
@@ -260,7 +261,9 @@ def has_zero_sum_of_size(seq: ZSequence, size: int) -> bool:
 
     exact[L] is the |G|-bit set of sums of exactly L entries, and
     exact[0] = {0}.  Each entry g sets exact[L] |= g + exact[L-1] for L
-    from the top down, so no entry is counted twice.
+    from the top down, so no entry is counted twice; before the i-th
+    entry (from 0) only lengths up to i can be nonempty, so it moves
+    only L <= min(size, i + 1).
     """
     if size < 1 or size > len(seq):
         return False
@@ -268,8 +271,8 @@ def has_zero_sum_of_size(seq: ZSequence, size: int) -> bool:
     _check_dense_budget(group)
     translate = packed_translator(group)
     exact = [1] + [0] * size
-    for g in seq.entries:
-        for L in range(size, 0, -1):
+    for i, g in enumerate(seq.entries):
+        for L in range(min(size, i + 1), 0, -1):
             exact[L] |= translate(exact[L - 1], g)
     return bool(exact[size] & 1)
 

@@ -61,12 +61,14 @@ up one block.  Blocks past n are never written: the minimal zero-sum
 length is the index of the lowest set bit among L*n, L = 1..n, and the
 EGZ statement reads bit n*n.
 
-The zero-sum-free scan runs over any group, level by level: level k maps
-each zero-sum-free multiset of length k to its sum set, one |G|-bit int
-grown by sums.packed_translator.  The parents S minus one entry of a
-multiset S all sit in the previous level, so the growth laws read their
-sum sets there; a depth-first order would reach most of them only after
-S.
+The zero-sum-free scan runs over any group, depth first, and keeps only
+its current path T with its sum set, one |G|-bit int grown by
+sums.packed_translator.  The growth step compares a multiset S with
+S - v for each distinct entry v, and (S, v) <-> (T, g) = (S - v, v) is a
+bijection onto the zero-sum-free T shorter than k_max paired with a
+nonzero g whose negative is not a sum of T.  So each node T grows its
+sum set by every such g and checks the step there; the g >= last(T)
+extend the path, and each T + g they reach is an instance.
 """
 
 from __future__ import annotations
@@ -174,14 +176,15 @@ def _split_range(start: int, stop: int, shards: int, leaves: int) -> list[tuple[
     """Contiguous rank ranges covering [start, stop), one per shard; empty ones dropped.
 
     A walk that reaches fewer than POOL_MIN_INSTANCES leaves over the
-    range is one chunk, which _run_workers runs in process.
+    range is one chunk, which _run_workers runs in process.  shards is
+    at least 1: _zn_report refuses fewer.
     """
     total = stop - start
     if total <= 0:
         return []
     if leaves < POOL_MIN_INSTANCES:
         shards = 1
-    shards = max(1, min(shards, total))
+    shards = min(shards, total)
     q, r = divmod(total, shards)
     out = []
     for i in range(shards):
@@ -755,6 +758,8 @@ def _zn_report(
     carries canonical_instances.
     """
     _require_order(statement_id, n)
+    if shards < 1:
+        raise DomainError(f"{statement_id} needs shards >= 1, got {shards}")
     length = n if family == "length-n" else 2 * n - 1
     space = comb(n + length - 1, length)
     _require_budget(space, budget, f"C({n + length - 1},{length}) = ")
@@ -863,11 +868,12 @@ def verify_corollary_short_zero_sum(
 def _scan_zero_sum_free(group: AbelianGroup, k_max: int) -> dict:
     """Enumerate zero-sum-free multisets (length <= k_max) over a group.
 
-    Level by level over non-decreasing element indices: a child of a
-    multiset S appends an index g >= S's last one, and lives when -g is
-    not a sum of S already.  Each multiset is an instance: the growth
-    laws are checked against the sum sets of its one-element-removed
-    parents, read from the previous level (level 0 holds the empty one).
+    Depth first over non-decreasing element indices, keeping only the
+    path T and its sum set.  Each node T builds Sigma(T + g) =
+    Sigma(T) | (g + Sigma(T)) | {g} for every nonzero g with -g not a sum
+    of T: (T, g) is the growth step's pair (S, v) = (T + g, g), met once
+    per S and distinct entry v.  Only g >= last(T) descends, to the
+    instance T + g, where the three per-multiset laws are checked.
     """
     order = group.order
     elements = list(group.elements())
@@ -875,31 +881,38 @@ def _scan_zero_sum_free(group: AbelianGroup, k_max: int) -> dict:
     translate = sums.packed_translator(group)
     out = {"instances": 0, "viol": _new_violation_bucket()}
     viol = out["viol"]
-    level: dict[tuple[int, ...], int] = {(): 0}
-    for k in range(1, k_max + 1):
-        parents, level = level, {}
-        for seq, sigma in parents.items():
-            for gi in range(seq[-1] if seq else 1, order):
-                if sigma >> neg[gi] & 1:
-                    continue
-                child = seq + (gi,)
-                grown = sigma | translate(sigma, elements[gi]) | (1 << gi)
-                level[child] = grown
-                size = grown.bit_count()
-                distinct = dict.fromkeys(child)
-                supp = len(distinct)
-                if size < k:
-                    _add_violation(viol, "sigma-size-at-least-k", child, size, k)
-                if size < k - 1 + supp:
-                    _add_violation(viol, "sigma-size-support-bound", child, size, k - 1 + supp)
-                if size == k and supp != 1:
-                    _add_violation(viol, "sigma-size-k-constant", child, supp, 1)
-                for v in distinct:
-                    i = child.index(v)
-                    parent_size = parents[child[:i] + child[i + 1:]].bit_count()
-                    if size < parent_size + 1:
-                        _add_violation(viol, "sigma-growth-step", child, size, parent_size + 1)
-        out["instances"] += len(level)
+    path: list[int] = []
+
+    def visit(sigma: int, supp: int) -> None:
+        # path is a zero-sum-free T with sum set sigma and supp distinct entries
+        k = len(path) + 1
+        last = path[-1] if path else 0
+        step = sigma.bit_count() + 1
+        for gi in range(1, order):
+            if sigma >> neg[gi] & 1:
+                continue
+            grown = sigma | translate(sigma, elements[gi]) | (1 << gi)
+            size = grown.bit_count()
+            if size < step:
+                _add_violation(viol, "sigma-growth-step", sorted(path + [gi]), size, step)
+            if gi < last:
+                continue
+            out["instances"] += 1
+            support = supp + (gi != last)
+            if size < k:
+                _add_violation(viol, "sigma-size-at-least-k", path + [gi], size, k)
+            if size < k - 1 + support:
+                _add_violation(
+                    viol, "sigma-size-support-bound", path + [gi], size, k - 1 + support
+                )
+            if size == k and support != 1:
+                _add_violation(viol, "sigma-size-k-constant", path + [gi], support, 1)
+            if k < k_max:
+                path.append(gi)
+                visit(grown, support)
+                path.pop()
+
+    visit(0, 0)
     return out
 
 

@@ -177,11 +177,17 @@ def test_verify_rejects_n_for_all(capsys):
         ("davenport-table", "--n-max", "6", "--budget", "1"),
         ("sumset-growth", "--group", "Z7", "--n-max", "3"),
         ("support-bound", "--n", "7", "--n-max", "3"),
+        ("support-bound", "--n", "6", "--shards", "0"),
+        ("support-bound", "--n", "6", "--shards", "-5"),
+        ("egz", "--n", "3", "--shards", "-1"),
+        ("all", "--n-max", "6", "--shards", "0"),
+        ("sumset-growth", "--group", "Z7", "--shards", "0"),
+        ("davenport-table", "--n-max", "6", "--shards", "0"),
     ],
 )
 def test_verify_order_below_floor_exits_two(capsys, argv):
-    # exit 1 means violations found; an order out of range, or a flag that
-    # does not apply, is bad input
+    # exit 1 means violations found; an order out of range, a flag that
+    # does not apply, or fewer than one shard is bad input
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert err.startswith("error: ")

@@ -7,6 +7,8 @@ import inspect
 import json
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, prod
 from pathlib import Path
@@ -23,7 +25,7 @@ from conftest import (
 )
 import zerosum
 from zerosum import sums, verify
-from zerosum.errors import BudgetExceededError
+from zerosum.errors import BudgetExceededError, DomainError
 from zerosum.groups import AbelianGroup, ZSequence
 
 
@@ -413,6 +415,20 @@ def test_sumset_growth_noncyclic_group_runs_raw():
             verify.verify_sumset_lemmas(AbelianGroup(factors), orbit_reduced=True)
 
 
+def test_sumset_scan_memory_is_its_path():
+    # at most k_max + 1 sum sets of |G| bits on the path, two |G|-bit masks
+    # per (digit, shift) and the |G|-entry element and negation tables:
+    # well under 100 KB at Z24, where two levels of multiset -> sum set
+    # dicts peaked at 9.05 MB
+    tracemalloc.start()
+    try:
+        verify.verify_sumset_lemmas(AbelianGroup((24,)), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000, peak
+
+
 @pytest.mark.parametrize(
     "factors,k_max",
     [((n,), min(5, n + 1)) for n in range(2, 10)] + [((2, 2), 4), ((2, 4), 5), ((3, 3), 5)],
@@ -488,6 +504,18 @@ def test_budget_refuses_oversized_scan(monkeypatch):
         verify.verify_thm_main(6)
     with pytest.raises(BudgetExceededError):
         verify.verify_egz(4)
+
+
+def test_checkers_refuse_fewer_than_one_shard():
+    # refused before the scan cache, so a cached scan does not let it through
+    assert verify.verify_thm_main(6).passed
+    for run in (
+        lambda: verify.verify_thm_main(6, shards=0),
+        lambda: verify.verify_egz(3, shards=-1),
+        lambda: verify.verify_all(6, shards=0),
+    ):
+        with pytest.raises(DomainError, match="shards >= 1"):
+            run()
 
 
 def test_verify_all_bundle_composition():
@@ -609,13 +637,22 @@ def test_egz_sharpness_row_obeys_the_violation_limit(monkeypatch):
 def test_violation_rows_are_the_smallest_whatever_the_visit_order(monkeypatch):
     # sum sets that never grow past the entries themselves break the growth
     # laws thousands of times; the rows kept must be the smallest by the
-    # report's sort key, not the first met by the level-wise scan
+    # report's sort key, not the first met by the depth-first scan
     monkeypatch.setattr(sums, "packed_translator", lambda group: lambda x, g: 0)
     kept = verify.verify_sumset_lemmas(AbelianGroup((8,)), 6)
     verify.clear_caches()
     monkeypatch.setattr(verify, "VIOLATION_LIMIT", 10**6)
     full = verify.verify_sumset_lemmas(AbelianGroup((8,)), 6)
     assert kept.violations_total == full.violations_total == len(full.violations)
+    # here Sigma(S) is the support of S, so the growth step breaks once
+    # per pair (S, v) with v a repeated entry of S: the walk must check
+    # every such pair, and every other law once per multiset
+    assert Counter(row["law"] for row in full.violations) == {
+        "sigma-size-at-least-k": 554,
+        "sigma-size-support-bound": 600,
+        "sigma-growth-step": 774,
+        "sigma-size-k-constant": 46,
+    }
     first_law = full.violations[0]["law"]
     assert sum(row["law"] == first_law for row in full.violations) > 100
     assert kept.violations == full.violations[:100]
