@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="check cyclic orders up to this (default 8)")
     p.add_argument("--group", default=None, help="explicit group (sumset-growth only)")
     p.add_argument("--shards", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget", type=int, default=None, help="max raw instances per bundle")
+    p.add_argument("--budget", type=int, default=None, help="max leaves walked per scan")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

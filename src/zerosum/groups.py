@@ -160,16 +160,6 @@ class ZSequence:
             acc = element_add(self.group, acc, g)
         return acc
 
-    def with_entry(self, g: int | Iterable[int]) -> "ZSequence":
-        return ZSequence.from_iterable(self.group, self.entries + (self.group.element(g),))
-
-    def without_entry(self, g: Element) -> "ZSequence":
-        """Remove one copy of g (g must occur)."""
-        g = self.group.validate(g)
-        items = list(self.entries)
-        items.remove(g)
-        return ZSequence(self.group, tuple(items))
-
     def __str__(self) -> str:
         return ",".join(format_element(self.group, g) for g in self.entries)
 

@@ -15,7 +15,7 @@ provably finite boxes (the norm form is positive definite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from types import MappingProxyType
 
 from . import sums
@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     StructureError,
 )
-from .groups import AbelianGroup, ZSequence
+from .groups import AbelianGroup, ZSequence, groups_of_order
 
 Form = tuple[int, int, int]
 CLASS_GROUP_DISC_CAP = 100_000
@@ -402,10 +402,6 @@ class ClassGroup:
         return len(self.structure) <= 1
 
     @property
-    def identity_rep(self) -> Form:
-        return reduce_form(principal_form(self.base.discriminant))
-
-    @property
     def generator(self) -> Form:
         if self.generator_index is None:
             raise StructureError("class group is not cyclic")
@@ -413,34 +409,17 @@ class ClassGroup:
 
 
 def _invariant_factors(element_orders: list[int], h: int) -> tuple[int, ...]:
-    """The unique cyclic-factor chain matching the order statistics."""
+    """The one abelian group of order h whose element orders match, as its invariant factors."""
     if h == 1:
         return ()
     divisors = [d for d in range(1, h + 1) if h % d == 0]
-    counts = {d: sum(1 for o in element_orders if d % o == 0) for d in divisors}
-    chains: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, acc: list[int]) -> None:
-        if remaining == 1:
-            chains.append(tuple(reversed(acc)))
-            return
-        for d in divisors:
-            if d > 1 and cap % d == 0 and remaining % d == 0:
-                rec(remaining // d, d, acc + [d])
-
-    rec(h, h, [])
-    matches = []
-    for chain in chains:
-        ok = True
-        for d in divisors:
-            predicted = 1
-            for factor in chain:
-                predicted *= gcd(factor, d)
-            if predicted != counts[d]:
-                ok = False
-                break
-        if ok:
-            matches.append(chain)
+    # the elements of order dividing d, a count that determines the group
+    counts = [sum(1 for o in element_orders if d % o == 0) for d in divisors]
+    matches = [
+        group.factors
+        for group in groups_of_order(h)
+        if [prod(gcd(f, d) for f in group.factors) for d in divisors] == counts
+    ]
     if len(matches) != 1:
         raise StructureError(f"order statistics match {len(matches)} abelian groups")
     return matches[0]

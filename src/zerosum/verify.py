@@ -3,12 +3,12 @@
 Each checker enumerates a complete desk-scale instance space, evaluates
 one family of statements on every instance, and returns a report with
 counts, violations, and witnesses.  A checker validates only its input
-(order, budget); one report builder, _report, builds every report: it
-runs the statement's scan once per key (the four length-n statements
-share one), emits the violations of the laws STATEMENTS lists for the
-statement, and adds the statement's details.  STATEMENTS also gives
-each checker and its range of orders, and both verify_all and the CLI
-take those ranges from there.
+(order, and the budget on the leaves its scan will walk); one report
+builder, _report, builds every report: it runs the statement's scan
+once per key (the four length-n statements share one), emits the
+violations of the laws STATEMENTS lists for the statement, and adds the
+statement's details.  STATEMENTS also gives each checker and its range
+of orders, and both verify_all and the CLI take those ranges from there.
 
 A multiset S over Z_n that contains 0 has the zero-sum subsequence (0),
 so its minimal zero-sum length m is 1 and every length-n law holds on
@@ -23,14 +23,15 @@ length-n law holds on it and the support bound is tight only on
 closed form too, and the walk skips every prefix with an inverse pair,
 so it reaches only the pair-free multisets: P(n) of them, the t^n
 coefficient of ((1+t)/(1-t))^floor((n-1)/2) * (1+t)^[n even], and their
-unit orbits by Burnside.  The raw count still reconciles with
-C(2n-1, n), and the walked leaves must equal that closed-form count.
+unit orbits by Burnside.  The raw count still reconciles with C(2n-1, n).
 
-A walk that reaches fewer than POOL_MIN_INSTANCES leaves runs in the
-calling process whatever `shards` says; only a larger scan over Z_n is
-cut into `shards` contiguous pieces for a process pool.  The pieces are
-equal ranges of the lexicographic ranks of its sequences (the walk
-unranks each range's first and last sequence).  Workers are pure; shard
+Every walk over Z_n (EGZ's too) counts its leaves in closed form first
+(_multisets); that count meets the budget, sizes the pool, and must
+equal the leaves walked.  A walk that reaches fewer than
+POOL_MIN_INSTANCES leaves runs in the calling process whatever `shards`
+says; a larger one is cut into `shards` equal ranges of the
+lexicographic ranks of its sequences (the walk unranks each range's
+first and last sequence) for a process pool.  Workers are pure; shard
 results merge by summing counts and keeping the VIOLATION_LIMIT smallest
 violation rows of each law, so a report is byte-identical for every
 shard count.  The zero-sum-free scan and the Davenport table always run
@@ -39,7 +40,9 @@ in process: a pool never paid for them.
 The scans over Z_n are reduced to one representative per unit orbit
 u*S (the checked statements are all invariant under that action), and
 instances_checked still counts the raw multisets covered, weighting
-each representative by its orbit size.  The representative is the
+each representative by its orbit size.  _symmetry gives the action once
+per n, as count-vector permutations; the pruning rules, the orbit sizes
+and the Burnside counts all read it.  The representative is the
 sequence that sorts lowest in its orbit.  The walk prunes as it goes
 (canonical augmentation, McKay, J. Algorithms 26, 1998): once a prefix
 has last value v, the counts of the values below v are final, and so is
@@ -85,38 +88,46 @@ from . import sums
 from .errors import BudgetExceededError, DomainError
 from .groups import AbelianGroup, ZSequence, element_neg, groups_of_order, units
 
-# raw enumeration cap; C(2n-1, n) <= 10^7 keeps runs at minutes
-RAW_ENUMERATION_CAP = 10_000_000
+# The most leaves a scan may walk (about 100 s on one core at the Z_n
+# walk's 9-11 us per leaf); the sum-set scan counts its multisets.
+SCAN_LEAF_CAP = 10_000_000
 DAVENPORT_TABLE_CAP = 16
 VIOLATION_LIMIT = 100
 WITNESS_LIMIT = 100
 # Walks that reach fewer leaves than this run in the calling process
-# whatever `shards` says.  The length-n walk knows its leaves in closed
-# form (the pair-free unit orbits, or all pair-free multisets raw); EGZ
-# counts its ranks.  Measured on 2 CPUs (Python 3.11, fork start, a
+# whatever `shards` says.  Measured on 2 CPUs (Python 3.11, fork start, a
 # fresh interpreter per run, medians of 5-9, two shards against one):
 # raw, verify_thm_main(11) (20,330 leaves) loses 47 ms (0.100 -> 0.147 s),
 # n = 12 (48,940) gains 27 ms (0.247 -> 0.220 s) and n = 13 (209,820)
-# gains 1.12 -> 0.84 s; verify_egz(7) (27,132 ranks) loses 0.036 ->
-# 0.088 s and verify_egz(8) (170,544) gains 0.273 -> 0.227 s.
-# Orbit-reduced length-n walks stay below the threshold up to the raw
-# budget (12,380 leaves at n = 12, 17,485 at n = 13), and two shards lose
-# there (0.127 -> 0.152 s, 0.234 -> 0.313 s): their canonical leaves sit
-# in the low ranks, since every one that holds a unit starts with 1.
+# gains 1.12 -> 0.84 s; verify_egz(7) (4,542 orbit leaves) loses 0.036 ->
+# 0.088 s and verify_egz(8) (44,220) gains 0.273 -> 0.227 s.
+# Orbit-reduced length-n walks stay below the threshold up to n = 13
+# (17,485 leaves), and two shards lose there (0.234 -> 0.313 s): their
+# canonical leaves sit in the low ranks, since every one that holds a
+# unit starts with 1.  From n = 14 (85,230) they pool, and the upper
+# rank ranges idle.
 POOL_MIN_INSTANCES = 40_000
 
 
-def _require_budget(space: int, budget: int | None, shown: str = "") -> None:
-    """Refuse a raw space above `budget`, else ZEROSUM_BUDGET, else RAW_ENUMERATION_CAP."""
+def _shown(x: int) -> str:
+    # str() of an int past 4,300 digits raises ValueError
+    return str(x) if x.bit_length() <= 64 else f"a {x.bit_length()}-bit int"
+
+
+def _budget(budget: int | None) -> int:
+    # `budget`, else ZEROSUM_BUDGET, else SCAN_LEAF_CAP
     raw = os.environ.get("ZEROSUM_BUDGET")
     if budget is None and raw:
         try:
             budget = int(raw)
         except ValueError:
             raise DomainError(f"ZEROSUM_BUDGET must be an integer, got {raw!r}") from None
-    cap = RAW_ENUMERATION_CAP if budget is None else budget
-    if space > cap:
-        raise BudgetExceededError(f"raw space {shown}{space} exceeds budget {cap}")
+    return SCAN_LEAF_CAP if budget is None else budget
+
+
+def _require_budget(count: int, cap: int, what: str) -> None:
+    if count > cap:
+        raise BudgetExceededError(f"{what}: {_shown(count)} exceeds budget {_shown(cap)}")
 
 
 @dataclass
@@ -207,26 +218,24 @@ def _run_workers(worker, arg_list: list) -> list:
         return list(pool.map(worker, arg_list))
 
 
-def _count_perms(n: int) -> tuple[list[tuple[int, ...]], int]:
-    """Count-vector permutations for each nontrivial unit, plus phi(n).
+@cache
+def _symmetry(n: int, orbit: bool) -> tuple[tuple[int, ...], ...]:
+    """The count-vector permutations a Z_n scan reduces by, the identity first.
 
-    Multiplying a multiset by the unit u sends the count vector c to
-    c' with c'[i] = c[p[i]], where p[i] = u^{-1} i mod n.
+    With orbit there is one per unit u: multiplying a multiset by u sends
+    its count vector c to c' with c'[i] = c[p[i]], where p[i] = u^{-1} i
+    mod n.  Without it the identity is alone.  Every permutation must fix
+    0, since the k = 0 rule of _prefix_rules relies on it.
     """
-    us = units(n)
-    perms = []
-    for u in us:
-        if u % n == 1 % n:
-            continue
-        inv = pow(u, -1, n)
-        perms.append(tuple((inv * i) % n for i in range(n)))
-    return perms, len(us)
+    if not orbit:
+        return (tuple(range(n)),)
+    return tuple(tuple(pow(u, -1, n) * i % n for i in range(n)) for u in units(n))
 
 
-def _prefix_rules(n: int) -> tuple[list[itemgetter], list[list[tuple]], int]:
-    """The walk's pruning tables: full image getters, per-value rules, phi(n).
+def _prefix_rules(perms: tuple) -> tuple[list[itemgetter], list[list[tuple]], int]:
+    """The pruning tables for _symmetry's perms: full image getters, per-value rules, group order.
 
-    For the j-th nontrivial unit, with permutation p, and a prefix whose
+    For the j-th permutation p after the identity, and a prefix whose
     last value is v, the counts c[0..v-1] are final.  With k the first
     index where p[k] >= v (k <= v, since only v indices have p[i] < v),
     the image counts c'[0..k-1] are final too.
@@ -236,15 +245,15 @@ def _prefix_rules(n: int) -> tuple[list[itemgetter], list[list[tuple]], int]:
     is a lower bound on c'[cut], so c[v] > c[cut] rejects; cut = v makes
     that test a no-op.
     """
-    perms, phi = _count_perms(n)
+    n = len(perms[0])
     rules: list[list[tuple]] = [[] for _ in range(n)]
-    for p in perms:
+    for p in perms[1:]:
         for v in range(n):
             k = next(i for i in range(n) if p[i] >= v)
             cols = max(k, 1)
             cut = k if p[k] == v and k < v else v
             rules[v].append((itemgetter(*p[:cols]), itemgetter(*range(cols)), cut))
-    return [itemgetter(*p) for p in perms], rules, phi
+    return [itemgetter(*p) for p in perms[1:]], rules, len(perms)
 
 
 @cache
@@ -317,7 +326,7 @@ def _walk_packed(
     first = _unrank(n, length, start)
     final = _unrank(n, length, stop - 1)
     lo_mask, hi_mask = sums.cyclic_rotation_masks(n, n)
-    full, rules, phi = _prefix_rules(n) if orbit else ([], [], 1)
+    full, rules, order = _prefix_rules(_symmetry(n, orbit))
     combo: list[int] = []
     counts = [0] * n
     last = length - 1
@@ -356,7 +365,7 @@ def _walk_packed(
                 return 0
             if image == here:
                 stab += 1
-        return phi // stab
+        return order // stab
 
     def rec(lo_v: int, hi_v: int, depth: int, x: int, live: list[int]) -> None:
         # sums.cyclic_add_residue is inlined in both loops: a call per node
@@ -367,7 +376,7 @@ def _walk_packed(
                     continue
                 combo.append(v)
                 counts[v] += 1
-                cover = cover_of(live) if live else phi
+                cover = cover_of(live) if live else order
                 if cover:
                     leaf(x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n), combo, counts, cover)
                 combo.pop()
@@ -461,6 +470,14 @@ def _emit_violations(bucket: dict, laws: tuple[str, ...]) -> tuple[list[dict], i
 # the length-n scan over Z_n: one pass feeds four checkers
 
 
+def _length_n_bundle(**fields) -> dict:
+    """A result of the length-n scan: `fields`, and zero counts and empty tables elsewhere."""
+    out = {"instances": 0, "canonical": 0, "slice_nm1": 0, "slice_nm2": 0, "full_instances": 0}
+    out.update(full_witnesses=[], realized={}, first_tight={}, viol=_new_violation_bucket())
+    out.update(fields)
+    return out
+
+
 def _scan_length_n(args: tuple) -> dict:
     """Verify every length-n multiset over Z_n with rank in [start, stop).
 
@@ -471,17 +488,7 @@ def _scan_length_n(args: tuple) -> dict:
     """
     n, ranks, orbit, pair_free = args
     allowed_s = {0, 1, n - 2, n - 1}
-    out = {
-        "instances": 0,
-        "canonical": 0,
-        "slice_nm1": 0,
-        "slice_nm2": 0,
-        "full_instances": 0,
-        "full_witnesses": [],
-        "realized": {},
-        "first_tight": {},
-        "viol": _new_violation_bucket(),
-    }
+    out = _length_n_bundle()
     viol = out["viol"]
 
     def leaf(packed: int, combo: list[int], counts: list[int], cover: int) -> None:
@@ -539,24 +546,24 @@ def _scan_length_n(args: tuple) -> dict:
 
 @cache
 def _multisets(n: int, length: int, kind: str, orbit: bool) -> int:
-    """The length-`length` multisets over Z_n of one kind, or with orbit their unit orbits.
+    """The length-`length` multisets over Z_n of one kind, or with orbit their orbits.
 
     kind is "all", "zero-free" (no 0) or "pair-free" (zero-free, and no
     two entries sum to 0); each kind is closed under units.  Burnside:
-    the orbits number the mean over units u of the multisets u fixes
-    (raw mode takes u = 1 alone, so every multiset is its own orbit).  A
-    fixed multiset has one count per cycle C of x -> u*x, so the fixed
-    ones are the t^length coefficient of the product over the cycles of
-    the counts' generating functions: 1/(1 - t^|C|), except that C =
-    {0} takes only 0 in a zero-free multiset.  In a pair-free one, a
-    cycle with C = -C holds some a with n-a and stays unused, except
-    {n/2}, which may be used once (1 + t); of a mirror pair C != -C at
-    most one is used, so the one met first stands for both with
-    (1 + t^|C|)/(1 - t^|C|).
+    the orbits number the mean over the permutations p of _symmetry of
+    the multisets p fixes (raw mode has the identity alone, so every
+    multiset is its own orbit).  A fixed multiset has one count per
+    cycle C of p, so the fixed ones are the t^length coefficient of the
+    product over the cycles of the counts' generating functions:
+    1/(1 - t^|C|), except that C = {0} takes only 0 in a zero-free
+    multiset.  In a pair-free one, a cycle with C = -C holds some a with
+    n-a and stays unused, except {n/2}, which may be used once (1 + t);
+    of a mirror pair C != -C at most one is used, so the one met first
+    stands for both with (1 + t^|C|)/(1 - t^|C|).
     """
-    group = units(n) if orbit else (1,)
+    perms = _symmetry(n, orbit)
     fixed = 0
-    for u in group:
+    for p in perms:
         poly = [1] + [0] * length
         seen = set()
         for first in range(n):
@@ -566,7 +573,7 @@ def _multisets(n: int, length: int, kind: str, orbit: bool) -> int:
             x = first
             while x not in seen:
                 seen.add(x)
-                x = u * x % n
+                x = p[x]
                 size += 1
             # `first` is the least member of its cycle.  A prefix sum over
             # step `grow` divides by 1 - t^grow, a suffix sum over step
@@ -586,7 +593,7 @@ def _multisets(n: int, length: int, kind: str, orbit: bool) -> int:
                 for k in range(grow, length + 1):
                     poly[k] += poly[k - grow]
         fixed += poly[length]
-    return fixed // len(group)
+    return fixed // len(perms)
 
 
 def _zero_block(n: int, orbit: bool) -> dict:
@@ -599,17 +606,15 @@ def _zero_block(n: int, orbit: bool) -> dict:
     _multisets counts.
     """
     size = comb(2 * n - 2, n - 1)
-    return {
-        "instances": size,
-        "canonical": _multisets(n, n - 1, "all", orbit),
-        "slice_nm1": 0,
-        "slice_nm2": size if n == 3 else 0,
-        "full_instances": 1 if n == 1 else 0,
-        "full_witnesses": [[0]] if n == 1 else [],
-        "realized": {n - 1: 1},
-        "first_tight": {n - 1: list(range(n))},
-        "viol": _new_violation_bucket(),
-    }
+    return _length_n_bundle(
+        instances=size,
+        canonical=_multisets(n, n - 1, "all", orbit),
+        slice_nm2=size if n == 3 else 0,
+        full_instances=1 if n == 1 else 0,
+        full_witnesses=[[0]] if n == 1 else [],
+        realized={n - 1: 1},
+        first_tight={n - 1: list(range(n))},
+    )
 
 
 def _pair_block(n: int, orbit: bool) -> dict:
@@ -622,17 +627,12 @@ def _pair_block(n: int, orbit: bool) -> dict:
     repeats 1.  The block is the zero-free multisets less the pair-free
     ones, both counted by _multisets.
     """
-    return {
-        "instances": comb(2 * n - 2, n) - _multisets(n, n, "pair-free", False),
-        "canonical": _multisets(n, n, "zero-free", orbit) - _multisets(n, n, "pair-free", orbit),
-        "slice_nm1": 0,
-        "slice_nm2": 0,
-        "full_instances": 0,
-        "full_witnesses": [],
-        "realized": {n - 2: n - 1},
-        "first_tight": {n - 2: [1, *range(1, n)]},
-        "viol": _new_violation_bucket(),
-    }
+    return _length_n_bundle(
+        instances=comb(2 * n - 2, n) - _multisets(n, n, "pair-free", False),
+        canonical=_multisets(n, n, "zero-free", orbit) - _multisets(n, n, "pair-free", orbit),
+        realized={n - 2: n - 1},
+        first_tight={n - 2: [1, *range(1, n)]},
+    )
 
 
 def _merge_scans(bundles: list[dict]) -> dict:
@@ -679,7 +679,7 @@ def _report(
     scan() runs once per cache key; the report takes its instances, the
     violations of the laws STATEMENTS lists for statement_id, and
     details(bundle).  Callers check order and budget first, so a scan is
-    refused under a budget below its raw space even when it ran before.
+    refused under a budget below its cost even when it ran before.
     """
     t0 = time.perf_counter()
     if key not in _scan_cache:
@@ -698,42 +698,45 @@ def _report(
     )
 
 
-def _zn_bundle(family: str, n: int, space: int, orbit: bool, shards: int) -> dict:
-    """The merged result of one scan over Z_n, whose raw space has `space` multisets.
+def _zn_family(family: str, n: int) -> tuple[int, str]:
+    """(length, kind): the `family` scan over Z_n walks the length-`length` multisets of that kind.
 
-    family "length-n" covers the length-n sequences and "egz" those of
-    length 2n-1.  A length-n multiset that contains 0 has m = 1, so
-    _zero_block settles their ranks [0, C(2n-2, n-1)) in closed form
-    (orbits by Burnside, no violation).  From n = 5 a zero-free one that
-    holds an inverse pair has m = 2, and _pair_block settles those too,
-    so only the pair-free multisets of the zero-free ranks are walked
-    and sharded; up to n = 4 every zero-free one is.  EGZ walks every
-    rank, after _sharpness_block.  Two checks follow the merge: the
-    instances must equal the raw space, so the walked covers must add up
-    to what the blocks leave of it, and the walked length-n leaves must
-    equal the closed-form count of the walked class (its unit orbits
-    with orbit), which also sizes the pool.
+    "length-n" walks the pair-free ones from n = 5 (the zero-free ones
+    below) after _zero_block and _pair_block; "egz" walks every one of
+    length 2n-1 after _sharpness_block.  See the module docstring.
     """
-    if family == "length-n":
-        # the closed-form blocks go first, so first_tight keeps rank order
-        pair_free = n >= 5
-        head = [_zero_block(n, orbit)] + ([_pair_block(n, orbit)] if pair_free else [])
-        start = comb(2 * n - 2, n - 1)
-        leaves = _multisets(n, n, "pair-free" if pair_free else "zero-free", orbit)
-        chunks = _split_range(start, space, shards, leaves)
-        walked = _run_workers(_scan_length_n, [(n, c, orbit, pair_free) for c in chunks])
+    if family == "egz":
+        return 2 * n - 1, "all"
+    return n, "pair-free" if n >= 5 else "zero-free"
+
+
+def _zn_bundle(family: str, n: int, orbit: bool, shards: int) -> dict:
+    """The merged result of one scan over Z_n (see _zn_family).
+
+    The closed-form blocks go first, so first_tight keeps rank order.
+    The merge must cover the raw space, and the walked leaves must equal
+    their closed-form count.
+    """
+    length, kind = _zn_family(family, n)
+    pair_free = kind == "pair-free"
+    space = comb(n + length - 1, length)
+    # a zero-free walk starts past the multisets that hold 0, the first ranks
+    start = 0 if kind == "all" else comb(n + length - 2, length - 1)
+    leaves = _multisets(n, length, kind, orbit)
+    if family == "egz":
+        head, worker = [_sharpness_block(n)], _scan_egz
     else:
-        head, leaves = [_sharpness_block(n)], None
-        chunks = _split_range(0, space, shards, space)
-        walked = _run_workers(_scan_egz, [(n, c, orbit) for c in chunks])
+        head = [_zero_block(n, orbit)] + ([_pair_block(n, orbit)] if pair_free else [])
+        worker = _scan_length_n
+    chunks = _split_range(start, space, shards, leaves)
+    walked = _run_workers(worker, [(n, c, orbit, pair_free) for c in chunks])
     merged = _merge_scans(head + walked)
     # orbit sizes must account for the raw space exactly
     if merged["instances"] != space:
         raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")
-    if leaves is not None:
-        reached = sum(part["canonical"] for part in walked)
-        if reached != leaves:
-            raise RuntimeError(f"walk reached {reached} of {leaves} canonical multisets")
+    reached = sum(part["canonical"] for part in walked)
+    if reached != leaves:
+        raise RuntimeError(f"walk reached {reached} of {leaves} canonical multisets")
     return merged
 
 
@@ -741,6 +744,16 @@ def _require_order(statement_id: str, n: int, name: str = "n") -> None:
     floor = STATEMENTS[statement_id][1]
     if n < floor:
         raise DomainError(f"{statement_id} needs {name} >= {floor}, got {n}")
+
+
+def _more_multisets_than(values: int, length: int, limit: int) -> bool:
+    """Whether C(values+length-1, length) > limit, with no int much larger than limit."""
+    count = 1
+    for i in range(1, length + 1):
+        count = count * (values - 1 + i) // i  # C(values-1+i, i)
+        if count > limit:
+            return True
+    return False
 
 
 def _zn_report(
@@ -754,20 +767,27 @@ def _zn_report(
 ) -> VerificationReport:
     """The report of one statement read off the `family` scan over Z_n.
 
-    details(bundle) gives the statement's own details; every report also
-    carries canonical_instances.
+    The budget bounds the walk's closed-form leaf count.  A lower bound
+    refuses a large n before that count, whose cost grows with n: every
+    multiset over 1..floor((n-1)/2) is pair-free (over Z_n for EGZ), and
+    an orbit has at most n members.  details(bundle) gives the
+    statement's own details; every report also carries
+    canonical_instances.
     """
     _require_order(statement_id, n)
     if shards < 1:
         raise DomainError(f"{statement_id} needs shards >= 1, got {shards}")
-    length = n if family == "length-n" else 2 * n - 1
-    space = comb(n + length - 1, length)
-    _require_budget(space, budget, f"C({n + length - 1},{length}) = ")
+    length, kind = _zn_family(family, n)
+    cap = _budget(budget)
+    what = f"{statement_id} at n = {n}, leaves walked"
+    if _more_multisets_than(n if kind == "all" else (n - 1) // 2, length, cap * n):
+        raise BudgetExceededError(f"{what}: over budget {_shown(cap)}")
+    _require_budget(_multisets(n, length, kind, orbit_reduced), cap, what)
     return _report(
         statement_id,
         {"n": n} if family == "length-n" else {"n": n, "length": length},
         (family, n, orbit_reduced),
-        lambda: _zn_bundle(family, n, space, orbit_reduced, shards),
+        lambda: _zn_bundle(family, n, orbit_reduced, shards),
         lambda bundle: {"canonical_instances": bundle["canonical"], **details(bundle)},
         orbit_reduced,
     )
@@ -932,7 +952,8 @@ def verify_sumset_lemmas(
         raise DomainError(f"sumset-growth needs k_max >= 1, got {k_max}")
     order = group.order
     _require_order("sumset-growth", order, "|G|")
-    _require_budget(sum(comb(order - 2 + k, k) for k in range(1, k_max + 1)), budget)
+    count = sum(comb(order - 2 + k, k) for k in range(1, k_max + 1))
+    _require_budget(count, _budget(budget), f"sumset-growth over {group} to k_max {k_max}, multisets")
     return _report(
         "sumset-growth",
         {"group": str(group), "k_max": k_max},
@@ -948,8 +969,9 @@ def verify_sumset_lemmas(
 
 def _scan_egz(args: tuple) -> dict:
     """Check every length 2n-1 multiset over Z_n with rank in [start, stop)
-    for n entries summing to zero (bit n*n of the packed sums)."""
-    n, ranks, orbit = args
+    for n entries summing to zero (bit n*n of the packed sums).  args is
+    (n, (start, stop), orbit, pair_free), as for _scan_length_n."""
+    n, ranks, orbit, pair_free = args
     out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
     target = n * n
 
@@ -959,7 +981,7 @@ def _scan_egz(args: tuple) -> dict:
         if not packed >> target & 1:
             _add_violation(out["viol"], "exact-n-zero-sum", combo, False, True)
 
-    _walk_packed(n, 2 * n - 1, ranks, leaf, orbit)
+    _walk_packed(n, 2 * n - 1, ranks, leaf, orbit, pair_free)
     return out
 
 
@@ -1092,9 +1114,12 @@ def verify_statement(
 ) -> list[VerificationReport]:
     """The reports of one STATEMENTS entry over its orders up to n_max,
     or at the single order n.  `shards` and `orbit_reduced` apply to the
-    scans over Z_n only.  An n_max below the statement's floor leaves no
-    order to check and raises DomainError."""
+    scans over Z_n only, but every statement refuses shards < 1.  An
+    n_max below the statement's floor leaves no order to check and
+    raises DomainError."""
     check, floor, cap, _ = STATEMENTS[statement]
+    if shards < 1:
+        raise DomainError(f"{statement} needs shards >= 1, got {shards}")
     top = n_max if cap is None else min(n_max, cap)
     if n is None and top < floor:
         raise DomainError(f"{statement} needs n_max >= {floor}, got {n_max}")

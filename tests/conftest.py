@@ -222,6 +222,11 @@ def associates(order: quad.QuadOrder, alpha: quad.Element) -> tuple[quad.Element
     return tuple(quad.elem_mul(order, u, alpha) for u in units_of(order))
 
 
+def principal_class(cg: quad.ClassGroup) -> quad.Form:
+    """The reduced principal form, the identity of the class group."""
+    return quad.reduce_form(quad.principal_form(cg.base.discriminant))
+
+
 def brute_element_orders(forms: tuple[quad.Form, ...], ident: quad.Form) -> list[int]:
     """Order of each reduced form by composing its powers until the
     identity, one walk per form (about h^2 compositions); the reference

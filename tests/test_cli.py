@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -191,6 +192,17 @@ def test_verify_order_below_floor_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("statement", ["support-bound", "egz"])
+def test_verify_refuses_a_huge_order_at_once(capsys, statement):
+    # refused by a lower bound on the leaves, before any count is formed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", statement, "--n", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error: ") and "over budget" in err
     assert "Traceback" not in out + err
 
 

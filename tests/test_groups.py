@@ -110,16 +110,6 @@ def test_sequence_is_sorted_multiset():
     assert len(seq) == 4
 
 
-def test_sequence_with_without_entry():
-    seq = ZSequence.from_iterable(Z6, [(1,), (2,)])
-    grown = seq.with_entry((0,))
-    assert grown.entries == ((0,), (1,), (2,))
-    shrunk = grown.without_entry((1,))
-    assert shrunk.entries == ((0,), (2,))
-    with pytest.raises(ValueError):
-        shrunk.without_entry((5,))
-
-
 def test_sequence_entries_reduced_mod_group():
     seq = ZSequence.from_iterable(Z6, [(7,), (-1,)])
     assert seq.entries == ((1,), (5,))

@@ -3,12 +3,13 @@ and composition, class groups, principality, irreducibility."""
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import product
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import associates, brute_element_orders, brute_reduced_forms, units_of
+from conftest import associates, brute_element_orders, brute_reduced_forms, principal_class, units_of
 from zerosum import quad
 from zerosum.errors import (
     ArityError,
@@ -18,6 +19,7 @@ from zerosum.errors import (
     ParseError,
     StructureError,
 )
+from zerosum.groups import groups_of_order
 
 O26 = quad.QuadOrder(26)
 O5 = quad.QuadOrder(5)
@@ -219,7 +221,7 @@ def test_two_enumeration_routes_agree():
 def test_compose_group_laws_d26():
     cg = quad.class_group(O26)
     reps = cg.element_reps
-    ident = cg.identity_rep
+    ident = principal_class(cg)
     for f in reps:
         assert quad.compose_reduced(f, ident) == f
         a, b, c = f
@@ -255,7 +257,7 @@ def test_class_group_frozen_values():
     assert cg.is_cyclic
     assert cg.generator_index == 4
     assert cg.generator == (5, -4, 6)
-    assert cg.identity_rep == (1, 0, 26)
+    assert principal_class(cg) == (1, 0, 26)
 
 
 def test_class_group_structures_cyclic_and_not():
@@ -298,11 +300,25 @@ def test_class_group_matches_brute_element_orders():
         assert fields == (order, h, forms, structure, generator_index), d
         if not cg.is_cyclic:
             continue
-        power = cg.identity_rep
+        power = principal_class(cg)
         for e in range(h):
             assert quad.ideal_class(cg, quad.ideal_of_form(order, power)) == e, (d, e)
             power = quad.compose_reduced(power, cg.generator)
-        assert power == cg.identity_rep
+        assert power == principal_class(cg)
+
+
+def test_invariant_factors_recover_every_group_of_order_to_64():
+    # element orders by brute force, lcm of the coordinate orders; the
+    # class groups above reach only a few structures, not e.g. Z2^4
+    for h in range(1, 65):
+        for group in groups_of_order(h):
+            orders = [
+                lcm(*(f // gcd(f, x) for f, x in zip(group.factors, e)))
+                for e in product(*(range(f) for f in group.factors))
+            ]
+            assert quad._invariant_factors(orders, h) == (() if h == 1 else group.factors), group
+    with pytest.raises(StructureError):
+        quad._invariant_factors([1, 1, 1, 1], 4)
 
 
 def test_class_group_and_ideal_class_composition_counts(monkeypatch):

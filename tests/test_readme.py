@@ -24,6 +24,7 @@ def test_readme_limits_match_the_code():
         ("sums", "DAVENPORT_ORDER_CAP"),
         ("quad", "CLASS_GROUP_DISC_CAP"),
         ("verify", "POOL_MIN_INSTANCES"),
+        ("verify", "SCAN_LEAF_CAP"),
     }, stated
     for (module, name), value in stated.items():
         assert getattr(importlib.import_module(f"zerosum.{module}"), name) == value, name

@@ -158,7 +158,7 @@ def test_prefix_rules_compare_the_longest_final_prefix():
         return got if isinstance(got, tuple) else (got,)
 
     for n in range(1, 13):
-        full, rules, phi = verify._prefix_rules(n)
+        full, rules, phi = verify._prefix_rules(verify._symmetry(n, True))
         unit_list = [u for u in range(2, n) if gcd(u, n) == 1]
         assert phi == max(1, len(unit_list) + 1) and len(full) == len(unit_list)
         for j, u in enumerate(unit_list):
@@ -220,7 +220,7 @@ def test_pool_threshold_picks_chunks(monkeypatch):
     real = verify._run_workers
 
     def recording(worker, arg_list):
-        # each argument is (n, rank range, orbit flag)
+        # each argument is (n, rank range, orbit flag, pair_free)
         chunks.setdefault(worker.__name__, []).append([a[1] for a in arg_list])
         return real(worker, arg_list)
 
@@ -325,6 +325,46 @@ def test_length_n_walk_check_catches_a_lost_canonical_leaf(monkeypatch, orbit, m
     monkeypatch.setattr(verify, "_scan_length_n", short)
     with pytest.raises(RuntimeError, match=message):
         verify.verify_thm_main(6, orbit_reduced=orbit)
+
+
+def test_symmetry_is_one_tuple_per_scan_with_the_identity_first():
+    for n in range(1, 13):
+        assert verify._symmetry(n, False) == (tuple(range(n)),)
+        perms = verify._symmetry(n, True)
+        assert perms is verify._symmetry(n, True)
+        assert perms[0] == tuple(range(n))
+        assert all(p[0] == 0 for p in perms)
+        # p is the count permutation of u: (u*S) has c[p[i]] copies of i
+        unit_list = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+        assert sorted(perms) == sorted(tuple(pow(u, -1, n) * i % n for i in range(n)) for u in unit_list)
+        # the raw walk compares nothing
+        full, rules, order = verify._prefix_rules(verify._symmetry(n, False))
+        assert (full, order) == ([], 1) and rules == [[] for _ in range(n)]
+
+
+@pytest.mark.parametrize("orbit,message", [(True, "reached 183 of 184"), (False, "reached 714 of 715")])
+def test_egz_walk_check_catches_a_lost_canonical_leaf(monkeypatch, orbit, message):
+    # the covers still add up, but the walk reached one leaf too few
+    real = verify._scan_egz
+
+    def short(args):
+        out = real(args)
+        out["canonical"] -= 1
+        return out
+
+    monkeypatch.setattr(verify, "_scan_egz", short)
+    with pytest.raises(RuntimeError, match=message):
+        verify.verify_egz(5, orbit_reduced=orbit)
+
+
+def test_extremal_structure_runs_past_the_raw_space_cap():
+    # n = 14 has C(27, 14) = 20,058,300 raw multisets but walks 85,230
+    # unit orbits, so the leaf budget admits it; the counts come from the
+    # tests' own Burnside count and the paper's tight supports
+    r = verify.verify_extremal_structure(14)
+    assert r.passed and r.instances_checked == comb(27, 14)
+    assert r.details["canonical_instances"] == burnside_orbit_count(14) == 3_344_048
+    assert r.details["realized_s"] == {"0": 6, "1": 6, "12": 13, "13": 1}
 
 
 @pytest.mark.parametrize("part", ["_zero_block", "_scan_length_n"])
@@ -491,19 +531,32 @@ def test_davenport_table_cap():
 def test_budget_refuses_oversized_scan(monkeypatch):
     with pytest.raises(BudgetExceededError):
         verify.verify_thm_main(30)
-    monkeypatch.setenv("ZEROSUM_BUDGET", "100")
-    with pytest.raises(BudgetExceededError):
+    # the budget bounds the leaves walked: 22 pair-free unit orbits at
+    # n = 6, and 70 unit orbits of length 7 over Z_4 for EGZ
+    monkeypatch.setenv("ZEROSUM_BUDGET", "21")
+    with pytest.raises(BudgetExceededError, match="22 exceeds budget 21"):
         verify.verify_thm_main(6)
-    monkeypatch.setenv("ZEROSUM_BUDGET", "1000")
+    monkeypatch.setenv("ZEROSUM_BUDGET", "22")
     assert verify.verify_thm_main(6).passed
+    monkeypatch.setenv("ZEROSUM_BUDGET", "70")
     assert verify.verify_egz(4).passed
-    # a budget below the raw space, C(11, 6) = 462 or C(10, 3) = 120,
-    # refuses the scan even once it is cached
-    monkeypatch.setenv("ZEROSUM_BUDGET", "100")
+    # a budget below the leaves walked refuses the scan even once it is cached
+    monkeypatch.setenv("ZEROSUM_BUDGET", "21")
     with pytest.raises(BudgetExceededError):
         verify.verify_thm_main(6)
+    monkeypatch.setenv("ZEROSUM_BUDGET", "69")
     with pytest.raises(BudgetExceededError):
         verify.verify_egz(4)
+
+
+def test_budget_refuses_huge_orders_before_counting():
+    # a lower bound on the leaves refuses at once; the message shows no
+    # number past the int-to-str digit limit
+    for run in (verify.verify_thm_main, verify.verify_egz):
+        with pytest.raises(BudgetExceededError, match="over budget 10000000$"):
+            run(10**5)
+    with pytest.raises(BudgetExceededError, match="over budget a 133-bit int$"):
+        verify.verify_extremal_structure(10**9, budget=10**40)
 
 
 def test_checkers_refuse_fewer_than_one_shard():
@@ -513,6 +566,8 @@ def test_checkers_refuse_fewer_than_one_shard():
         lambda: verify.verify_thm_main(6, shards=0),
         lambda: verify.verify_egz(3, shards=-1),
         lambda: verify.verify_all(6, shards=0),
+        lambda: verify.verify_statement("sumset-growth", 5, shards=0),
+        lambda: verify.verify_statement("davenport-table", 4, shards=-3),
     ):
         with pytest.raises(DomainError, match="shards >= 1"):
             run()
