@@ -13,8 +13,9 @@ import json
 import os
 import sys
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from . import quad, sums, verify
+from . import sums
 from .errors import DomainError, ZerosumError
 from .groups import (
     AbelianGroup,
@@ -26,7 +27,15 @@ from .groups import (
 )
 from .sums import INFINITY
 
-VERIFY_STATEMENTS = ("all", *verify.STATEMENTS)
+if TYPE_CHECKING:
+    from . import quad, verify
+
+# "all" and the ids of verify.STATEMENTS, written out so that building
+# the parser imports no verify; a test pins the two lists together
+VERIFY_STATEMENTS = (
+    "all", "support-bound", "full-length-constant", "extremal-structure",
+    "short-zero-sum", "sumset-growth", "egz", "davenport-table",
+)
 
 
 def _element_json(group: AbelianGroup, g: Element):
@@ -153,6 +162,8 @@ def cmd_davenport(args: argparse.Namespace) -> int:
 
 
 def _verify_reports(args: argparse.Namespace) -> list[verify.VerificationReport]:
+    from . import verify
+
     statement = args.statement
     if args.n is not None and statement in ("all", "davenport-table"):
         raise ZerosumError(f"--n does not apply to '{statement}'; use --n-max")
@@ -177,6 +188,8 @@ def _verify_reports(args: argparse.Namespace) -> list[verify.VerificationReport]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     reports = _verify_reports(args)
     if args.json:
         print(verify.reports_to_json(reports))
@@ -196,6 +209,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_quad_class_group(args: argparse.Namespace) -> int:
+    from . import quad
+
     order = quad.QuadOrder(args.d)
     cg = quad.class_group(order)
     structure = "trivial" if not cg.structure else "x".join(f"Z{m}" for m in cg.structure)
@@ -225,6 +240,8 @@ def _ideal_payload(ideal: quad.QuadIdeal) -> dict:
 
 
 def cmd_quad_ideal(args: argparse.Namespace) -> int:
+    from . import quad
+
     order = quad.QuadOrder(args.d)
     ideals = quad.parse_ideal_list(order, args.ideals)
     product = ideals[0]
@@ -258,6 +275,8 @@ def cmd_quad_ideal(args: argparse.Namespace) -> int:
 
 
 def cmd_quad_demo(args: argparse.Namespace) -> int:
+    from . import quad
+
     order = quad.QuadOrder(args.d)
     ideals = quad.parse_ideal_list(order, args.ideals)
     result = quad.find_short_principal_product(order, ideals)

@@ -209,8 +209,9 @@ def _run_workers(worker, arg_list: list) -> list:
     """worker over arg_list in order; a process pool only for 2+ chunks."""
     if len(arg_list) <= 1:
         return [worker(a) for a in arg_list]
-    # imported here: it takes 15-30 ms to import, which `import zerosum`
-    # and every scan that stays in process would otherwise pay
+    # imported here: it takes 15-30 ms to import, which loading this
+    # module, and so every `zerosum verify` call, would otherwise pay
+    # even when all its scans stay in process
     from concurrent.futures import ProcessPoolExecutor
 
     max_workers = min(len(arg_list), os.cpu_count() or 1)
