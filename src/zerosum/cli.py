@@ -337,7 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="single cyclic order to check")
     p.add_argument("--n-max", type=int, default=None, help="check cyclic orders up to this (default 8)")
     p.add_argument("--group", default=None, help="explicit group (sumset-growth only)")
-    p.add_argument("--shards", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--shards",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes for a scan that walks at least verify.POOL_MIN_INSTANCES leaves"
+        " (default: the CPU count)",
+    )
     p.add_argument("--budget", type=int, default=None, help="max leaves walked per scan")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

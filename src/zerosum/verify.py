@@ -26,16 +26,17 @@ coefficient of ((1+t)/(1-t))^floor((n-1)/2) * (1+t)^[n even], and their
 unit orbits by Burnside.  The raw count still reconciles with C(2n-1, n).
 
 Every walk over Z_n (EGZ's too) counts its leaves in closed form first
-(_multisets); that count meets the budget, sizes the pool, and must
-equal the leaves walked.  A walk that reaches fewer than
-POOL_MIN_INSTANCES leaves runs in the calling process whatever `shards`
-says; a larger one is cut into `shards` equal ranges of the
+(_multisets); that count meets the budget, decides whether the walk
+pools, and must equal the leaves walked.  A walk that reaches fewer
+than POOL_MIN_INSTANCES leaves, or runs with one shard, runs in the
+calling process; a larger one is cut into POOL_CHUNKS equal ranges of the
 lexicographic ranks of its sequences (the walk unranks each range's
-first and last sequence) for a process pool.  Workers are pure; shard
-results merge by summing counts and keeping the VIOLATION_LIMIT smallest
-violation rows of each law, so a report is byte-identical for every
-shard count.  The zero-sum-free scan and the Davenport table always run
-in process: a pool never paid for them.
+first and last sequence), which a pool of `shards` worker processes
+takes one at a time as each frees up.  Workers are pure; chunk results
+merge in rank order by summing counts and keeping the VIOLATION_LIMIT
+smallest violation rows of each law, so a report is byte-identical for
+every shard count.  The zero-sum-free scan and the Davenport table
+always run in process: a pool never paid for them.
 
 The scans over Z_n are reduced to one representative per unit orbit
 u*S (the checked statements are all invariant under that action), and
@@ -95,18 +96,25 @@ DAVENPORT_TABLE_CAP = 16
 VIOLATION_LIMIT = 100
 WITNESS_LIMIT = 100
 # Walks that reach fewer leaves than this run in the calling process
-# whatever `shards` says.  Measured on 2 CPUs (Python 3.11, fork start, a
-# fresh interpreter per run, medians of 5-9, two shards against one):
-# raw, verify_thm_main(11) (20,330 leaves) loses 47 ms (0.100 -> 0.147 s),
-# n = 12 (48,940) gains 27 ms (0.247 -> 0.220 s) and n = 13 (209,820)
-# gains 1.12 -> 0.84 s; verify_egz(7) (4,542 orbit leaves) loses 0.036 ->
-# 0.088 s and verify_egz(8) (44,220) gains 0.273 -> 0.227 s.
-# Orbit-reduced length-n walks stay below the threshold up to n = 13
-# (17,485 leaves), and two shards lose there (0.234 -> 0.313 s): their
-# canonical leaves sit in the low ranks, since every one that holds a
-# unit starts with 1.  From n = 14 (85,230) they pool, and the upper
-# rank ranges idle.
+# whatever `shards` says.  Measured with dealt chunks on 2 CPUs (Python
+# 3.11, fork start, a fresh interpreter per run, medians of 9-11, two
+# workers against one with the threshold forced to 0): raw length-n
+# n = 11 (20,330 leaves) loses 0.096 -> 0.105 s and n = 12 (48,940)
+# gains 0.196 -> 0.167 s; raw EGZ n = 7 (27,132) loses 0.048 -> 0.090 s;
+# orbit EGZ n = 7 (4,542) loses 0.028 -> 0.059 s and n = 8 (44,220)
+# gains 0.199 -> 0.163 s; orbit length-n n = 12 (12,380) loses 0.073 ->
+# 0.121 s, n = 13 (17,485) is a wash (0.191 -> 0.151 s in one set of
+# runs, 0.146 -> 0.183 s in another) and n = 14 (85,230) gains 0.68 ->
+# 0.43 s.
 POOL_MIN_INSTANCES = 40_000
+# A pooled walk is cut into this many equal rank ranges, which the pool
+# deals to its workers as each frees up: the canonical leaves crowd the
+# low ranks, so one equal range per worker left the upper one nearly
+# idle.  Of 16, 32, 64 and 128, timed with two workers at orbit length-n
+# n = 14..16 and orbit EGZ n = 9..10 (medians of 9 and of 11 fresh runs),
+# 32 is the smallest within 10% of the best on every scan (at most 8%
+# behind it); 16 falls 10-19% behind on some.
+POOL_CHUNKS = 32
 
 
 def _shown(x: int) -> str:
@@ -115,13 +123,6 @@ def _shown(x: int) -> str:
 
 
 def _budget(budget: int | None) -> int:
-    # `budget`, else ZEROSUM_BUDGET, else SCAN_LEAF_CAP
-    raw = os.environ.get("ZEROSUM_BUDGET")
-    if budget is None and raw:
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise DomainError(f"ZEROSUM_BUDGET must be an integer, got {raw!r}") from None
     return SCAN_LEAF_CAP if budget is None else budget
 
 
@@ -183,30 +184,12 @@ def reports_to_json(reports: list[VerificationReport], include_elapsed: bool = T
 # shared machinery
 
 
-def _split_range(start: int, stop: int, shards: int, leaves: int) -> list[tuple[int, int]]:
-    """Contiguous rank ranges covering [start, stop), one per shard; empty ones dropped.
+def _run_workers(worker, arg_list: list, workers: int) -> list:
+    """worker over arg_list in order; a process pool only for 2+ chunks.
 
-    A walk that reaches fewer than POOL_MIN_INSTANCES leaves over the
-    range is one chunk, which _run_workers runs in process.  shards is
-    at least 1: _zn_report refuses fewer.
+    The pool has min(workers, CPUs) processes and deals the chunks one at
+    a time as each process frees up; map returns them in argument order.
     """
-    total = stop - start
-    if total <= 0:
-        return []
-    if leaves < POOL_MIN_INSTANCES:
-        shards = 1
-    shards = min(shards, total)
-    q, r = divmod(total, shards)
-    out = []
-    for i in range(shards):
-        size = q + (1 if i < r else 0)
-        out.append((start, start + size))
-        start += size
-    return out
-
-
-def _run_workers(worker, arg_list: list) -> list:
-    """worker over arg_list in order; a process pool only for 2+ chunks."""
     if len(arg_list) <= 1:
         return [worker(a) for a in arg_list]
     # imported here: it takes 15-30 ms to import, which loading this
@@ -214,8 +197,7 @@ def _run_workers(worker, arg_list: list) -> list:
     # even when all its scans stay in process
     from concurrent.futures import ProcessPoolExecutor
 
-    max_workers = min(len(arg_list), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         return list(pool.map(worker, arg_list))
 
 
@@ -729,8 +711,11 @@ def _zn_bundle(family: str, n: int, orbit: bool, shards: int) -> dict:
     else:
         head = [_zero_block(n, orbit)] + ([_pair_block(n, orbit)] if pair_free else [])
         worker = _scan_length_n
-    chunks = _split_range(start, space, shards, leaves)
-    walked = _run_workers(worker, [(n, c, orbit, pair_free) for c in chunks])
+    # a pooled walk is cut into POOL_CHUNKS equal rank ranges, any other is one
+    cut = POOL_CHUNKS if shards > 1 and leaves >= POOL_MIN_INSTANCES else 1
+    bounds = [start + (space - start) * i // cut for i in range(cut + 1)]
+    chunks = [(n, (a, b), orbit, pair_free) for a, b in zip(bounds, bounds[1:]) if a < b]
+    walked = _run_workers(worker, chunks, shards)
     merged = _merge_scans(head + walked)
     # orbit sizes must account for the raw space exactly
     if merged["instances"] != space:

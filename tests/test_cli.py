@@ -206,12 +206,12 @@ def test_verify_refuses_a_huge_order_at_once(capsys, statement):
     assert "Traceback" not in out + err
 
 
-def test_verify_rejects_a_non_integer_budget(capsys, monkeypatch):
-    monkeypatch.setenv("ZEROSUM_BUDGET", "abc")
-    code, out, err = run_cli(capsys, "verify", "support-bound", "--n", "5")
-    assert code == 2
-    assert err.startswith("error: ") and "ZEROSUM_BUDGET" in err
-    assert "Traceback" not in out + err
+def test_verify_rejects_a_non_integer_budget(capsys):
+    # argparse refuses it: usage error, exit status 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "support-bound", "--n", "5", "--budget", "abc"])
+    assert exc.value.code == 2
+    assert "--budget: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def _without_elapsed(doc: str) -> list[dict]:

@@ -216,39 +216,52 @@ def test_scan_cache_ignores_shard_count(monkeypatch):
 
 
 def test_pool_threshold_picks_chunks(monkeypatch):
-    chunks = {}
+    calls = []
     real = verify._run_workers
 
-    def recording(worker, arg_list):
+    def recording(worker, arg_list, workers):
         # each argument is (n, rank range, orbit flag, pair_free)
-        chunks.setdefault(worker.__name__, []).append([a[1] for a in arg_list])
-        return real(worker, arg_list)
+        calls.append((worker.__name__, [a[1] for a in arg_list], workers))
+        return real(worker, arg_list, workers)
 
     monkeypatch.setattr(verify, "_run_workers", recording)
     # the default keeps every small scan in one chunk, whatever shards says;
     # the length-n scan walks only the zero-free ranks, from C(2n-2, n-1)
     verify.verify_thm_main(9, shards=4)
     verify.verify_egz(6, shards=4)
-    assert chunks == {
-        "_scan_length_n": [[(comb(16, 8), comb(17, 9))]],
-        "_scan_egz": [[(0, comb(16, 5))]],
-    }
+    assert calls == [
+        ("_scan_length_n", [(comb(16, 8), comb(17, 9))], 4),
+        ("_scan_egz", [(0, comb(16, 5))], 4),
+    ]
     # from the threshold up, counted in the leaves the walk will reach (33
     # pair-free unit orbits at n = 7, 22 at n = 6, and 44 pair-free
-    # multisets at n = 6 raw), the walk gets equal rank ranges
-    verify.clear_caches()
-    chunks.clear()
+    # multisets at n = 6 raw), a walk with 2+ shards is cut into
+    # POOL_CHUNKS near-equal contiguous rank ranges over its zero-free
+    # ranks; the cut is the same for every shard count, which sets only
+    # the worker count, and one shard keeps one range
     monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", 33)
-    verify.verify_thm_main(7, shards=3)
-    verify.verify_thm_main(6, shards=3)
+    cuts = {}
+    for shards in (1, 2, 4, 8):
+        verify.clear_caches()
+        calls.clear()
+        verify.verify_thm_main(7, shards=shards)
+        [(name, cuts[shards], workers)] = calls
+        assert (name, workers) == ("_scan_length_n", shards)
+    assert cuts[1] == [(924, 1716)]
+    ranges = cuts[2]
+    assert len(ranges) == verify.POOL_CHUNKS
+    assert ranges[0][0] == 924 and ranges[-1][1] == 1716
+    assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+    sizes = {b - a for a, b in ranges}
+    assert min(sizes) > 0 and max(sizes) - min(sizes) <= 1
+    assert cuts[4] == cuts[8] == ranges
+    verify.clear_caches()
+    calls.clear()
+    verify.verify_thm_main(6, shards=2)
     verify.verify_thm_main(6, orbit_reduced=False, shards=2)
-    assert chunks == {
-        "_scan_length_n": [
-            [(924, 1188), (1188, 1452), (1452, 1716)],
-            [(252, 462)],
-            [(252, 357), (357, 462)],
-        ],
-    }
+    assert calls[0][1] == [(252, 462)]
+    assert len(calls[1][1]) == verify.POOL_CHUNKS
+    assert calls[1][1][0][0] == 252 and calls[1][1][-1][1] == 462
 
 
 def test_zero_block_equals_the_walk_over_its_ranks():
@@ -386,7 +399,7 @@ def test_import_and_small_scans_skip_pool_machinery():
     # a fresh interpreter: importing zerosum, and CLI runs whose scans all
     # stay in process, never load concurrent.futures; a pooled scan does.
     # The orbit-reduced n = 12 walk reaches 12,380 leaves and stays in
-    # process; EGZ at n = 8 walks 170,544 ranks and pools
+    # process; the EGZ walk at n = 8 reaches 44,220 leaves and pools
     code = (
         "import contextlib, io, sys\n"
         "from zerosum import cli\n"
@@ -528,25 +541,20 @@ def test_davenport_table_cap():
         verify.verify_davenport_table(17)
 
 
-def test_budget_refuses_oversized_scan(monkeypatch):
+def test_budget_refuses_oversized_scan():
     with pytest.raises(BudgetExceededError):
         verify.verify_thm_main(30)
     # the budget bounds the leaves walked: 22 pair-free unit orbits at
     # n = 6, and 70 unit orbits of length 7 over Z_4 for EGZ
-    monkeypatch.setenv("ZEROSUM_BUDGET", "21")
     with pytest.raises(BudgetExceededError, match="22 exceeds budget 21"):
-        verify.verify_thm_main(6)
-    monkeypatch.setenv("ZEROSUM_BUDGET", "22")
-    assert verify.verify_thm_main(6).passed
-    monkeypatch.setenv("ZEROSUM_BUDGET", "70")
-    assert verify.verify_egz(4).passed
+        verify.verify_thm_main(6, budget=21)
+    assert verify.verify_thm_main(6, budget=22).passed
+    assert verify.verify_egz(4, budget=70).passed
     # a budget below the leaves walked refuses the scan even once it is cached
-    monkeypatch.setenv("ZEROSUM_BUDGET", "21")
     with pytest.raises(BudgetExceededError):
-        verify.verify_thm_main(6)
-    monkeypatch.setenv("ZEROSUM_BUDGET", "69")
+        verify.verify_thm_main(6, budget=21)
     with pytest.raises(BudgetExceededError):
-        verify.verify_egz(4)
+        verify.verify_egz(4, budget=69)
 
 
 def test_budget_refuses_huge_orders_before_counting():
@@ -606,9 +614,9 @@ def test_shard_counts_agree_byte_for_byte(monkeypatch):
     pooled = []
     real = verify._run_workers
 
-    def recording(worker, arg_list):
-        pooled.append((worker.__name__, len(arg_list)))
-        return real(worker, arg_list)
+    def recording(worker, arg_list, workers):
+        pooled.append((worker.__name__, len(arg_list), workers))
+        return real(worker, arg_list, workers)
 
     monkeypatch.setattr(verify, "_run_workers", recording)
     outs = []
@@ -623,9 +631,14 @@ def test_shard_counts_agree_byte_for_byte(monkeypatch):
         ]
         outs.append(verify.reports_to_json(reports, include_elapsed=False))
     assert outs[0] == outs[1] == outs[2] == outs[3]
-    # length-n and egz per shard count; the zero-sum-free scan and the
+    # length-n and egz per shard count: one chunk for one shard, else
+    # POOL_CHUNKS for `shards` workers; the zero-sum-free scan and the
     # Davenport table never start a pool
-    assert pooled == [(name, k) for k in (1, 2, 4, 8) for name in ("_scan_length_n", "_scan_egz")]
+    assert pooled == [
+        (name, 1 if k == 1 else verify.POOL_CHUNKS, k)
+        for k in (1, 2, 4, 8)
+        for name in ("_scan_length_n", "_scan_egz")
+    ]
 
 
 def test_orbit_toggle_does_not_change_findings():
