@@ -511,17 +511,14 @@ def norm_solutions(order: QuadOrder, target: int) -> list[Element]:
     out = []
     ymax = isqrt(4 * target // -disc)
     for y in range(-ymax, ymax + 1):
+        # dx >= 0 as |disc| y^2 <= 4N; -t*y + r is even, as r is even when
+        # t = 0 (dx = 4(N - d y^2)) and r = y mod 2 when t = 1 (dx = y^2 mod 4)
         dx = 4 * target + disc * y * y
-        if dx < 0:
-            continue
         r = isqrt(dx)
         if r * r != dx:
             continue
         for signed in sorted({r, -r}):
-            num = -t * y + signed
-            if num % 2:
-                continue
-            out.append((num // 2, y))
+            out.append(((-t * y + signed) // 2, y))
     return sorted(out)
 
 
@@ -610,6 +607,12 @@ def find_short_principal_product(
     product = unit_ideal(order)
     for i in indices:
         product = ideal_mul(order, product, ideals[i])
+    if product == unit_ideal(order):
+        # only a lone unit-ideal input (class 0) multiplies to the unit ideal
+        raise DomainError(
+            f"ideal {indices[0]} is the unit ideal: its class 0 alone is the zero-sum,"
+            " and its generator is a unit"
+        )
     generator = is_principal(order, product)
     if generator is None:
         raise StructureError("zero-sum class subset gave a non-principal product")

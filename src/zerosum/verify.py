@@ -82,6 +82,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import groupby, islice
 from math import comb, gcd
 from operator import itemgetter
 
@@ -403,14 +404,18 @@ def _walk_packed(
 
 
 def _keep_smallest(rows: list[dict]) -> None:
-    # the rows a report shows must not depend on visiting or shard order
+    # sorted, and cut to each law's VIOLATION_LIMIT smallest: the rows a
+    # report shows must not depend on visiting or shard order
     rows.sort(key=lambda r: (r["law"], tuple(r["sequence"]), str(r["observed"])))
-    del rows[VIOLATION_LIMIT:]
+    laws = groupby(rows, itemgetter("law"))
+    rows[:] = [row for _, same in laws for row in islice(same, VIOLATION_LIMIT)]
 
 
-def _add_violation(bucket: dict, law: str, sequence, observed, expected) -> None:
-    bucket["totals"][law] = bucket["totals"].get(law, 0) + 1
-    rows = bucket["rows"].setdefault(law, [])
+def _add_violation(bundle: dict, law: str, sequence, observed, expected) -> None:
+    # the trim bounds a scan's memory: 2 * VIOLATION_LIMIT rows per law fired
+    totals = bundle["totals"]
+    totals[law] = totals.get(law, 0) + 1
+    rows = bundle["rows"]
     rows.append(
         {
             "law": law,
@@ -419,34 +424,8 @@ def _add_violation(bucket: dict, law: str, sequence, observed, expected) -> None
             "expected": expected,
         }
     )
-    if len(rows) >= 2 * VIOLATION_LIMIT:
+    if len(rows) >= 2 * VIOLATION_LIMIT * len(totals):
         _keep_smallest(rows)
-
-
-def _new_violation_bucket() -> dict:
-    return {"rows": {}, "totals": {}}
-
-
-def _merge_violation_buckets(buckets: list[dict]) -> dict:
-    out = _new_violation_bucket()
-    for b in buckets:
-        for law, total in b["totals"].items():
-            out["totals"][law] = out["totals"].get(law, 0) + total
-        for law, rows in b["rows"].items():
-            out["rows"].setdefault(law, []).extend(rows)
-    for rows in out["rows"].values():
-        _keep_smallest(rows)
-    return out
-
-
-def _emit_violations(bucket: dict, laws: tuple[str, ...]) -> tuple[list[dict], int]:
-    rows: list[dict] = []
-    total = 0
-    for law in laws:
-        total += bucket["totals"].get(law, 0)
-        rows.extend(bucket["rows"].get(law, []))
-    _keep_smallest(rows)
-    return rows, total
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +433,13 @@ def _emit_violations(bucket: dict, laws: tuple[str, ...]) -> tuple[list[dict], i
 
 
 def _length_n_bundle(**fields) -> dict:
-    """A result of the length-n scan: `fields`, and zero counts and empty tables elsewhere."""
+    """A result of the length-n scan: `fields`, and zero counts and empty tables elsewhere.
+
+    Like every scan result it holds its violations as totals (law ->
+    count) and rows, both written by _add_violation.
+    """
     out = {"instances": 0, "canonical": 0, "slice_nm1": 0, "slice_nm2": 0, "full_instances": 0}
-    out.update(full_witnesses=[], realized={}, first_tight={}, viol=_new_violation_bucket())
+    out.update(full_witnesses=[], realized={}, first_tight={}, totals={}, rows=[])
     out.update(fields)
     return out
 
@@ -472,7 +455,6 @@ def _scan_length_n(args: tuple) -> dict:
     n, ranks, orbit, pair_free = args
     allowed_s = {0, 1, n - 2, n - 1}
     out = _length_n_bundle()
-    viol = out["viol"]
 
     def leaf(packed: int, combo: list[int], counts: list[int], cover: int) -> None:
         out["instances"] += cover
@@ -481,37 +463,37 @@ def _scan_length_n(args: tuple) -> dict:
         m = _leaf_min_zero_length(packed, n)
         if m is None:
             # no zero-sum subsequence at all; the short-bound law cannot hold
-            _add_violation(viol, "short-zero-sum-bound", combo, "infinity", n - supp + 1)
+            _add_violation(out, "short-zero-sum-bound", combo, "infinity", n - supp + 1)
             return
         s = n - m
         if supp > s + 1:
-            _add_violation(viol, "support-bound", combo, supp, s + 1)
+            _add_violation(out, "support-bound", combo, supp, s + 1)
         if n >= 3:
             if m == n - 1:
                 out["slice_nm1"] += cover
                 if supp != 2:
-                    _add_violation(viol, "min-length-n-minus-1-support", combo, supp, 2)
+                    _add_violation(out, "min-length-n-minus-1-support", combo, supp, 2)
             elif m == n - 2:
                 out["slice_nm2"] += cover
                 if supp > 3:
-                    _add_violation(viol, "min-length-n-minus-2-support", combo, supp, 3)
+                    _add_violation(out, "min-length-n-minus-2-support", combo, supp, 3)
         if m == n:
             out["full_instances"] += cover
             if len(out["full_witnesses"]) < WITNESS_LIMIT:
                 out["full_witnesses"].append(list(combo))
             if supp != 1 or gcd(combo[0], n) != 1:
-                _add_violation(viol, "full-length-constant", combo, supp, 1)
+                _add_violation(out, "full-length-constant", combo, supp, 1)
         if m > n - supp + 1:
-            _add_violation(viol, "short-zero-sum-bound", combo, m, n - supp + 1)
+            _add_violation(out, "short-zero-sum-bound", combo, m, n - supp + 1)
         if supp == s + 1:
             # the support bound is tight here; structure laws apply
             out["realized"][s] = out["realized"].get(s, 0) + cover
             if s not in out["first_tight"]:
                 out["first_tight"][s] = list(combo)
             if s not in allowed_s:
-                _add_violation(viol, "tight-support-range", combo, s, "{0,1,n-2,n-1}")
+                _add_violation(out, "tight-support-range", combo, s, "{0,1,n-2,n-1}")
             if max(counts) < n - s:
-                _add_violation(viol, "tight-support-multiplicity", combo, max(counts), n - s)
+                _add_violation(out, "tight-support-multiplicity", combo, max(counts), n - s)
             if s == 1 and n >= 4:
                 a = counts.index(n - 1) if n - 1 in counts else -1
                 ok = False
@@ -520,7 +502,7 @@ def _scan_length_n(args: tuple) -> dict:
                     ok = b == (2 * a) % n and gcd(a, n) == 1
                 if not ok:
                     _add_violation(
-                        viol, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
+                        out, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
                     )
 
     _walk_packed(n, n, ranks, leaf, orbit, pair_free)
@@ -621,20 +603,22 @@ def _pair_block(n: int, orbit: bool) -> dict:
 def _merge_scans(bundles: list[dict]) -> dict:
     """Shard results of one Z_n scan, in shard order, as one result.
 
-    Integers add up, witness lists concatenate up to WITNESS_LIMIT, the
-    counts in realized add up, first_tight keeps the first shard's
-    witness, and violations merge by _merge_violation_buckets.
+    Integers add up, and so do the per-key counts in realized and totals;
+    violation rows concatenate and are cut by _keep_smallest, other lists
+    concatenate up to WITNESS_LIMIT, and first_tight keeps the first
+    shard's witness.
     """
     out = {}
     for key in bundles[0]:
         parts = [b[key] for b in bundles]
-        if key == "viol":
-            out[key] = _merge_violation_buckets(parts)
-        elif key == "realized":
+        if key in ("realized", "totals"):
             out[key] = {}
             for part in parts:
-                for s, cover in part.items():
-                    out[key][s] = out[key].get(s, 0) + cover
+                for k, count in part.items():
+                    out[key][k] = out[key].get(k, 0) + count
+        elif key == "rows":
+            out[key] = [row for part in parts for row in part]
+            _keep_smallest(out[key])
         elif key == "first_tight":
             # later shards are read first, so an earlier shard overwrites them
             out[key] = {s: w for part in reversed(parts) for s, w in part.items()}
@@ -668,14 +652,16 @@ def _report(
     if key not in _scan_cache:
         _scan_cache[key] = scan()
     bundle = _scan_cache[key]
-    rows, total = _emit_violations(bundle["viol"], STATEMENTS[statement_id][3])
+    laws = STATEMENTS[statement_id][3]
+    rows = [row for row in bundle["rows"] if row["law"] in laws]
+    _keep_smallest(rows)
     return VerificationReport(
         statement_id=statement_id,
         parameters=parameters,
         instances_checked=bundle["instances"],
         orbit_reduced=orbit_reduced,
-        violations=rows,
-        violations_total=total,
+        violations=rows[:VIOLATION_LIMIT],
+        violations_total=sum(bundle["totals"].get(law, 0) for law in laws),
         details=details(bundle),
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
@@ -796,7 +782,7 @@ def verify_thm_main(
     """
 
     def details(bundle: dict) -> dict:
-        totals = bundle["viol"]["totals"]
+        totals = bundle["totals"]
         return {
             "slices": {
                 f"min-length-n-minus-{k}": {
@@ -885,8 +871,7 @@ def _scan_zero_sum_free(group: AbelianGroup, k_max: int) -> dict:
     elements = list(group.elements())
     neg = [group.index_of(element_neg(group, g)) for g in elements]
     translate = sums.packed_translator(group)
-    out = {"instances": 0, "viol": _new_violation_bucket()}
-    viol = out["viol"]
+    out = {"instances": 0, "totals": {}, "rows": []}
     path: list[int] = []
 
     def visit(sigma: int, supp: int) -> None:
@@ -900,19 +885,19 @@ def _scan_zero_sum_free(group: AbelianGroup, k_max: int) -> dict:
             grown = sigma | translate(sigma, elements[gi]) | (1 << gi)
             size = grown.bit_count()
             if size < step:
-                _add_violation(viol, "sigma-growth-step", sorted(path + [gi]), size, step)
+                _add_violation(out, "sigma-growth-step", sorted(path + [gi]), size, step)
             if gi < last:
                 continue
             out["instances"] += 1
             support = supp + (gi != last)
             if size < k:
-                _add_violation(viol, "sigma-size-at-least-k", path + [gi], size, k)
+                _add_violation(out, "sigma-size-at-least-k", path + [gi], size, k)
             if size < k - 1 + support:
                 _add_violation(
-                    viol, "sigma-size-support-bound", path + [gi], size, k - 1 + support
+                    out, "sigma-size-support-bound", path + [gi], size, k - 1 + support
                 )
             if size == k and support != 1:
-                _add_violation(viol, "sigma-size-k-constant", path + [gi], support, 1)
+                _add_violation(out, "sigma-size-k-constant", path + [gi], support, 1)
             if k < k_max:
                 path.append(gi)
                 visit(grown, support)
@@ -958,14 +943,14 @@ def _scan_egz(args: tuple) -> dict:
     for n entries summing to zero (bit n*n of the packed sums).  args is
     (n, (start, stop), orbit, pair_free), as for _scan_length_n."""
     n, ranks, orbit, pair_free = args
-    out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
+    out = {"instances": 0, "canonical": 0, "totals": {}, "rows": []}
     target = n * n
 
     def leaf(packed: int, combo: list[int], counts: list[int], cover: int) -> None:
         out["instances"] += cover
         out["canonical"] += 1
         if not packed >> target & 1:
-            _add_violation(out["viol"], "exact-n-zero-sum", combo, False, True)
+            _add_violation(out, "exact-n-zero-sum", combo, False, True)
 
     _walk_packed(n, 2 * n - 1, ranks, leaf, orbit, pair_free)
     return out
@@ -973,10 +958,10 @@ def _scan_egz(args: tuple) -> dict:
 
 def _sharpness_block(n: int) -> dict:
     """The EGZ scan's sharpness check: n-1 zeros with n-1 ones have no n-term zero-sum."""
-    out = {"instances": 0, "canonical": 0, "viol": _new_violation_bucket()}
+    out = {"instances": 0, "canonical": 0, "totals": {}, "rows": []}
     sharp = [0] * (n - 1) + [1] * (n - 1)
     if sums.has_zero_sum_of_size(ZSequence.from_iterable(AbelianGroup((n,)), sharp), n):
-        _add_violation(out["viol"], "sharpness-witness", sharp, "has exact-n zero-sum", "none")
+        _add_violation(out, "sharpness-witness", sharp, "has exact-n zero-sum", "none")
     return out
 
 
@@ -993,7 +978,7 @@ def verify_egz(
     def details(bundle: dict) -> dict:
         return {
             "sharpness_witness": [0] * (n - 1) + [1] * (n - 1),
-            "sharpness_confirmed": "sharpness-witness" not in bundle["viol"]["totals"],
+            "sharpness_confirmed": "sharpness-witness" not in bundle["totals"],
         }
 
     return _zn_report("egz", "egz", n, details, orbit_reduced, shards, budget)
@@ -1004,7 +989,7 @@ def verify_egz(
 
 
 def _davenport_rows(max_order: int) -> dict:
-    out = {"rows": [], "viol": _new_violation_bucket()}
+    out = {"table": [], "totals": {}, "rows": []}
     for m in range(1, max_order + 1):
         for group in groups_of_order(m):
             result = sums.davenport(group)
@@ -1015,18 +1000,18 @@ def _davenport_rows(max_order: int) -> dict:
                 "davenport": result.value,
                 "witness": str(result.witness),
             }
-            out["rows"].append(row)
+            out["table"].append(row)
             if result.value > m:
-                _add_violation(out["viol"], "davenport-order-bound", [str(group)], result.value, m)
+                _add_violation(out, "davenport-order-bound", [str(group)], result.value, m)
             if (result.value == m) != group.is_cyclic:
                 _add_violation(
-                    out["viol"],
+                    out,
                     "davenport-cyclic-equality",
                     [str(group)],
                     result.value,
                     m if group.is_cyclic else f"< {m}",
                 )
-    out["instances"] = len(out["rows"])
+    out["instances"] = len(out["table"])
     return out
 
 
@@ -1045,7 +1030,7 @@ def verify_davenport_table(max_order: int = DAVENPORT_TABLE_CAP) -> Verification
         {"max_order": max_order},
         ("davenport-table", max_order),
         lambda: _davenport_rows(max_order),
-        lambda bundle: {"table": bundle["rows"]},
+        lambda bundle: {"table": bundle["table"]},
     )
 
 

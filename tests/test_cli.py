@@ -135,6 +135,18 @@ def test_verify_text_and_json_agree(capsys):
     assert f"instances={report['instances_checked']}" in text_out
 
 
+def test_verify_sumset_growth_over_a_named_group(capsys):
+    code, out, _ = run_cli(capsys, "verify", "sumset-growth", "--group", "Z2xZ4")
+    assert code == 0
+    assert "[PASS] sumset-growth group=Z2xZ4 k_max=6 instances=94" in out
+    code, out, _ = run_cli(capsys, "verify", "sumset-growth", "--group", "Z2xZ4", "--json")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["parameters"] == {"group": "Z2xZ4", "k_max": 6}
+    assert report["instances_checked"] == 94
+    assert report["orbit_reduced"] is False
+
+
 def test_verify_violations_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(verify, "_leaf_min_zero_length", lambda by_len, limit: None)
     verify.clear_caches()
@@ -287,6 +299,16 @@ def test_quad_demo_worked_example(capsys):
     assert doc["generator"] == [7, 1]
     assert doc["generator_str"] == "7+sqrt(-26)"
     assert doc["irreducible"] is True
+
+
+def test_quad_demo_refuses_a_unit_ideal(capsys):
+    # the unit ideal has class 0, so it alone is the minimal zero-sum
+    code, out, err = run_cli(
+        capsys, "quad-demo51", "-d", "26", "--ideals", "5,2;1,0;5,2;2,0;3,1;3,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ideal 1 is the unit ideal")
 
 
 def test_quad_demo_text_output(capsys):

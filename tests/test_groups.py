@@ -101,6 +101,27 @@ def test_validate_rejects_wrong_arity():
         Z2xZ4.validate((1,))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: AbelianGroup(()), ValueError, "at least one cyclic factor"),
+        (lambda: Z2xZ4.element(3), InvalidElementError, "needs a rank-1 group"),
+        (lambda: Z2xZ4.element((1, 1.5)), InvalidElementError, "non-integer coordinate"),
+        (lambda: Z2xZ4.element_at(8), InvalidElementError, "index 8 out of range"),
+        (lambda: ZSequence(Z6, ((2,), (1,))), ValueError, "must be sorted"),
+        (lambda: units(0), ValueError, "modulus must be positive"),
+        (lambda: groups_of_order(0), ValueError, "group order must be positive"),
+        (lambda: parse_element(Z2xZ4, "()"), ParseError, "empty element tuple"),
+        (lambda: parse_element(Z2xZ4, "(a,1)"), ParseError, "bad element"),
+        (lambda: parse_element(Z2xZ4, "3"), ParseError, "needs a rank-1 group"),
+        (lambda: parse_entries(Z6, "1),(2"), ParseError, "unbalanced parentheses"),
+    ],
+)
+def test_bad_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_sequence_is_sorted_multiset():
     seq = ZSequence.from_iterable(Z6, [(5,), (2,), (2,), (0,)])
     assert seq.entries == ((0,), (2,), (2,), (5,))

@@ -533,6 +533,19 @@ def test_short_principal_product_errors():
         )
     with pytest.raises(ArityError):
         quad.find_short_principal_product(O26, [quad.unit_ideal(O26)] * 3)
+    # the unit ideal has class 0, so it alone is the minimal zero-sum, but
+    # its generator is a unit; the first class-0 input is the one named
+    p1 = quad.parse_ideal(O26, "5,2")
+    principal = quad.principal_ideal(O26, (0, 1))
+    for ideals, index in (
+        ([quad.unit_ideal(O26)] + [p1] * 5, 0),
+        ([p1, p1, quad.unit_ideal(O26), principal, p1, p1], 2),
+    ):
+        with pytest.raises(DomainError, match=f"ideal {index} is the unit ideal"):
+            quad.find_short_principal_product(O26, ideals)
+    # a principal non-unit input met first is the product, as before
+    res = quad.find_short_principal_product(O26, [p1, principal, quad.unit_ideal(O26)] + [p1] * 3)
+    assert res.indices == (1,) and res.generator == (0, 1)
 
 
 def test_parse_errors():

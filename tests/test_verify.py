@@ -3,8 +3,11 @@ determinism across shard counts, and fault injection."""
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import inspect
 import json
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +20,7 @@ import pytest
 
 from conftest import (
     all_multisets,
+    brute_davenport,
     brute_length_sums,
     brute_mz,
     burnside_orbit_count,
@@ -26,7 +30,7 @@ from conftest import (
 import zerosum
 from zerosum import sums, verify
 from zerosum.errors import BudgetExceededError, DomainError
-from zerosum.groups import AbelianGroup, ZSequence
+from zerosum.groups import AbelianGroup, ZSequence, parse_group
 
 
 @pytest.fixture(autouse=True)
@@ -724,6 +728,143 @@ def test_violation_rows_are_the_smallest_whatever_the_visit_order(monkeypatch):
     first_law = full.violations[0]["law"]
     assert sum(row["law"] == first_law for row in full.violations) > 100
     assert kept.violations == full.violations[:100]
+
+
+# the length-n laws: the statement whose report shows each, and the
+# (observed, expected) its row must carry, recomputed from the row's
+# sequence and the minimal zero-sum length m the scan was told
+LENGTH_N_LAWS = {
+    "support-bound": ("support-bound", lambda seq, n, m: (len(set(seq)), n - m + 1)),
+    "min-length-n-minus-1-support": ("support-bound", lambda seq, n, m: (len(set(seq)), 2)),
+    "min-length-n-minus-2-support": ("support-bound", lambda seq, n, m: (len(set(seq)), 3)),
+    "full-length-constant": ("full-length-constant", lambda seq, n, m: (len(set(seq)), 1)),
+    "short-zero-sum-bound": ("short-zero-sum", lambda seq, n, m: (m, n - len(set(seq)) + 1)),
+    "tight-support-range": ("extremal-structure", lambda seq, n, m: (n - m, "{0,1,n-2,n-1}")),
+    "tight-support-multiplicity": (
+        "extremal-structure",
+        lambda seq, n, m: (max(Counter(seq).values()), m),
+    ),
+    "tight-support-shape": (
+        "extremal-structure",
+        lambda seq, n, m: ("other", "a^(n-1)+(2a), ord(a)=n"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n, m, laws",
+    [
+        (6, 6, {"support-bound", "full-length-constant", "short-zero-sum-bound"}),
+        (
+            6,
+            5,
+            {
+                "support-bound",
+                "min-length-n-minus-1-support",
+                "short-zero-sum-bound",
+                "tight-support-multiplicity",
+                "tight-support-shape",
+            },
+        ),
+        (
+            8,
+            6,
+            {
+                "support-bound",
+                "min-length-n-minus-2-support",
+                "short-zero-sum-bound",
+                "tight-support-range",
+                "tight-support-multiplicity",
+            },
+        ),
+        (8, 5, {"tight-support-range", "tight-support-multiplicity"}),
+        # pair-free leaves at n = 6 have supp <= 3, so the n-2 slice holds
+        (6, 4, {"tight-support-range", "tight-support-multiplicity"}),
+    ],
+)
+def test_each_length_n_law_reports_its_rows(monkeypatch, n, m, laws):
+    # every walked leaf is told its minimal zero-sum length is m
+    monkeypatch.setattr(verify, "_leaf_min_zero_length", lambda packed, k: m)
+    seen = set()
+    for statement in ("support-bound", "full-length-constant", "extremal-structure", "short-zero-sum"):
+        (report,) = verify.verify_statement(statement, n, n=n)
+        shown = {row["law"] for row in report.violations}
+        assert report.passed == (not shown), statement
+        for row in report.violations:
+            owner, recompute = LENGTH_N_LAWS[row["law"]]
+            assert owner == statement
+            assert (row["observed"], row["expected"]) == recompute(row["sequence"], n, m), row
+        seen |= shown
+    assert seen == laws
+
+
+def test_davenport_laws_report_their_rows(monkeypatch):
+    # every Davenport constant one too large: each cyclic group breaks
+    # both laws, and a non-cyclic one with D(G) = |G| - 1 breaks equality
+    real = sums.davenport
+    monkeypatch.setattr(
+        sums, "davenport", lambda g: dataclasses.replace(real(g), value=real(g).value + 1)
+    )
+    r = verify.verify_davenport_table(8)
+    assert not r.passed
+    assert {row["law"] for row in r.violations} == {
+        "davenport-order-bound",
+        "davenport-cyclic-equality",
+    }
+    for row in r.violations:
+        (name,) = row["sequence"]
+        group = parse_group(name)
+        assert row["observed"] == brute_davenport(group) + 1
+        if row["law"] == "davenport-order-bound":
+            assert row["expected"] == group.order
+        else:
+            assert row["expected"] == (group.order if group.is_cyclic else f"< {group.order}")
+    # Z2xZ2: D = 3, told 4 = |G|, but the group is not cyclic
+    row = {"law": "davenport-cyclic-equality", "sequence": ["Z2xZ2"], "observed": 4, "expected": "< 4"}
+    assert row in r.violations
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="only forked workers inherit the faults"
+)
+def test_faulted_pooled_scans_agree_byte_for_byte(monkeypatch):
+    # threshold 0 and a small limit: chunk results carry violation rows,
+    # which the merge must add up and trim the same for every worker count
+    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", 0)
+    monkeypatch.setattr(verify, "VIOLATION_LIMIT", 3)
+    monkeypatch.setattr(verify, "_leaf_min_zero_length", lambda packed, n: n - 1)
+    monkeypatch.setattr(sums, "cyclic_rotation_masks", lambda n, blocks: ([0] * n, [0] * n))
+    outs = []
+    for shards in (1, 2, 4):
+        verify.clear_caches()
+        reports = [
+            check(n, orbit_reduced=orbit, shards=shards)
+            for n, orbit in ((7, True), (8, False))
+            for check in (
+                verify.verify_thm_main,
+                verify.verify_extremal_structure,
+                verify.verify_corollary_short_zero_sum,
+            )
+        ] + [verify.verify_egz(5, shards=shards)]
+        assert all(len(r.violations) == 3 < r.violations_total for r in reports)
+        outs.append(verify.reports_to_json(reports, include_elapsed=False))
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_every_emitted_law_is_shown_by_exactly_one_statement():
+    # a law that _add_violation writes but no STATEMENTS row lists would
+    # vanish from every report
+    tree = ast.parse(Path(verify.__file__).read_text())
+    emitted = {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_add_violation"
+    }
+    listed = Counter(law for entry in verify.STATEMENTS.values() for law in entry[3])
+    assert set(listed) == emitted
+    assert set(listed.values()) == {1}
 
 
 def test_checkers_answer_the_benchmark_calls():
