@@ -341,10 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for a scan that walks at least verify.POOL_MIN_INSTANCES leaves"
-        " (default: the CPU count)",
+        help="worker processes for a scan over Z_n of order at least its family's"
+        " verify.POOL_MIN_ORDER (default: the CPU count)",
     )
-    p.add_argument("--budget", type=int, default=None, help="max leaves walked per scan")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="max work per scan: leaves walked plus subtrees settled over Z_n,"
+        " multisets for sumset-growth",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

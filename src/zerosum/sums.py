@@ -31,6 +31,11 @@ INFINITY = math.inf
 # dense DP walks arrays of size |G|; keep it at desk scale
 DENSE_ORDER_CAP = 1_000_000
 
+# the most bits the |G|-bit sets of one dense DP may hold together:
+# min(k, |G|) layers for mz and sumset over k entries, size + 1 exact
+# lengths for has_zero_sum_of_size (16 MiB)
+DENSE_BIT_CAP = 1 << 27
+
 # mz's witness replays k * m * |G| bits of layer snapshots (k entries,
 # m = mz); above this many it refuses before building them
 WITNESS_BIT_CAP = 1 << 32
@@ -95,10 +100,15 @@ class DavenportResult:
     witness: ZSequence
 
 
-def _check_dense_budget(group: AbelianGroup) -> None:
+def _check_dense_budget(group: AbelianGroup, sets: int) -> None:
+    """Refuse a dense DP over the group that holds `sets` sets of |G| bits."""
     if group.order > DENSE_ORDER_CAP:
         raise BudgetExceededError(
             f"dense DP needs |G| <= {DENSE_ORDER_CAP}, got {group.order}"
+        )
+    if sets * group.order > DENSE_BIT_CAP:
+        raise BudgetExceededError(
+            f"dense DP needs sets*|G| <= {DENSE_BIT_CAP} bits, got {sets}*{group.order}"
         )
 
 
@@ -200,15 +210,18 @@ def _sum_layers(
 def sumset(seq: ZSequence) -> SumSet:
     """All nonempty subsequence sums with their minimal lengths."""
     group = seq.group
-    _check_dense_budget(group)
+    _check_dense_budget(group, min(len(seq), group.order))
     layers = _sum_layers(packed_translator(group), seq.entries, len(seq))
     least: dict[int, int] = {}
     seen = 0
     for L, layer in enumerate(layers, 1):
-        # the binary digits of the sums new at L, lowest index first
-        for v, bit in enumerate(bin(layer & ~seen)[:1:-1]):
-            if bit == "1":
-                least[v] = L
+        # the binary digits of the sums new at L, lowest index first; find
+        # steps once per sum, not once per element
+        new = bin(layer & ~seen)[:1:-1]
+        v = new.find("1")
+        while v >= 0:
+            least[v] = L
+            v = new.find("1", v + 1)
         seen = layer
     return SumSet(group, tuple((group.element_at(v), least[v]) for v in sorted(least)))
 
@@ -216,7 +229,7 @@ def sumset(seq: ZSequence) -> SumSet:
 def mz(seq: ZSequence) -> MZResult:
     """Minimal length of a nonempty zero-sum subsequence of seq."""
     group = seq.group
-    _check_dense_budget(group)
+    _check_dense_budget(group, min(len(seq), group.order))
     entries = seq.entries
     translate = packed_translator(group)
     layers = _sum_layers(translate, entries, len(entries), stop_at_zero=True)
@@ -268,7 +281,7 @@ def has_zero_sum_of_size(seq: ZSequence, size: int) -> bool:
     if size < 1 or size > len(seq):
         return False
     group = seq.group
-    _check_dense_budget(group)
+    _check_dense_budget(group, size + 1)
     translate = packed_translator(group)
     exact = [1] + [0] * size
     for i, g in enumerate(seq.entries):

@@ -3,56 +3,12 @@
 Each checker enumerates a complete desk-scale instance space, evaluates
 one family of statements on every instance, and returns a report with
 counts, violations, and witnesses.  A checker validates only its input
-(order, and the budget on the leaves its scan will walk); one report
-builder, _report, builds every report: it runs the statement's scan
-once per key (the four length-n statements share one), emits the
-violations of the laws STATEMENTS lists for the statement, and adds the
-statement's details.  STATEMENTS also gives each checker and its range
-of orders, and both verify_all and the CLI take those ranges from there.
-
-A multiset S over Z_n that contains 0 has the zero-sum subsequence (0),
-so its minimal zero-sum length m is 1 and every length-n law holds on
-it; the support bound n - m + 1 = n is tight only on {0, 1, ..., n-1}.
-These multisets are the first C(2n-2, n-1) lexicographic ranks of the
-length-n scan, and _zero_block settles them in closed form: its orbit
-count is Burnside's.  Only the C(2n-2, n) zero-free ranks are walked.
-The inverse-pair lemma settles most of those: a zero-free S that holds
-some a together with n-a, or n/2 twice, has m = 2, so for n >= 5 every
-length-n law holds on it and the support bound is tight only on
-{1, ..., n-1} plus one repeated entry.  _pair_block gives those in
-closed form too, and the walk skips every prefix with an inverse pair,
-so it reaches only the pair-free multisets: P(n) of them, the t^n
-coefficient of ((1+t)/(1-t))^floor((n-1)/2) * (1+t)^[n even], and their
-unit orbits by Burnside.  The raw count still reconciles with C(2n-1, n).
-
-Every walk over Z_n (EGZ's too) counts its leaves in closed form first
-(_multisets); that count meets the budget, decides whether the walk
-pools, and must equal the leaves walked.  A walk that reaches fewer
-than POOL_MIN_INSTANCES leaves, or runs with one shard, runs in the
-calling process; a larger one is cut into POOL_CHUNKS equal ranges of the
-lexicographic ranks of its sequences (the walk unranks each range's
-first and last sequence), which a pool of `shards` worker processes
-takes one at a time as each frees up.  Workers are pure; chunk results
-merge in rank order by summing counts and keeping the VIOLATION_LIMIT
-smallest violation rows of each law, so a report is byte-identical for
-every shard count.  The zero-sum-free scan and the Davenport table
-always run in process: a pool never paid for them.
-
-The scans over Z_n are reduced to one representative per unit orbit
-u*S (the checked statements are all invariant under that action), and
-instances_checked still counts the raw multisets covered, weighting
-each representative by its orbit size.  _symmetry gives the action once
-per n, as count-vector permutations; the pruning rules, the orbit sizes
-and the Burnside counts all read it.  The representative is the
-sequence that sorts lowest in its orbit.  The walk prunes as it goes
-(canonical augmentation, McKay, J. Algorithms 26, 1998): once a prefix
-has last value v, the counts of the values below v are final, and so is
-the image of their first k counts under a unit, up to the first index
-whose preimage reaches v.  A unit whose image of that part is larger
-cuts the whole subtree; a unit whose image is smaller can never reject
-or stabilize a sequence below and is dropped from the node's live
-units; an equal one stays live.  A leaf compares only the live units'
-full images, so it gets its orbit size from the walk.
+(order, and the budget on the work its scan does); one report builder,
+_report, builds every report: it runs the statement's scan once per key
+(the four length-n statements share one), emits the violations of the
+laws STATEMENTS lists for the statement, and adds the statement's
+details.  STATEMENTS also gives each checker and its range of orders,
+and both verify_all and the CLI take those ranges from there.
 
 The scans over Z_n (length n, and length 2n-1 for EGZ) walk the
 non-decreasing sequences depth first and carry the subset sums of the
@@ -64,6 +20,39 @@ empty prefix is 1.  Appending the residue v rotates every block by v
 up one block.  Blocks past n are never written: the minimal zero-sum
 length is the index of the lowest set bit among L*n, L = 1..n, and the
 EGZ statement reads bit n*n.
+
+Almost every such sequence holds a zero-sum so short that no law can
+fail on it, and the walk settles the whole subtree below such a prefix
+by a count: a prefix with last value v and r entries still to come
+heads C(n-v+r-1, r) sequences, since every later entry is >= v.  The
+argument uses two facts only: a zero-sum of the prefix stays in every
+extension, and each later entry adds at most one distinct value.
+  - Length n.  A prefix with supp_p distinct values and a zero-sum of
+    length m_p gives every leaf below it m <= m_p and
+    supp <= supp_p + min(r, n-1-v).  If m_p <= n-3 and that support
+    bound is <= n - m_p, every leaf has supp <= n - m: the support bound
+    and the short-zero-sum bound hold, no leaf is tight (that needs
+    supp = n - m + 1), and m <= n-3 reaches no slice or full-length
+    count.  So the subtree adds its count to `instances` and nothing
+    else.  m_p is read through _leaf_min_zero_length, so a fault that
+    forces m moves the cut with it.
+  - EGZ.  A prefix with an n-term zero-sum (bit n*n) passes it to every
+    leaf, so each leaf below passes.
+Walked plus settled leaves must equal C(n+L-1, L) exactly.
+
+A scan's work is its walked leaves plus its settled subtrees, counted
+as it runs (see _walk_packed) against the budget, which refuses it
+with BudgetExceededError once the work passes.  A scan over Z_n of
+order below POOL_MIN_ORDER for its family, or with one shard, runs in
+the calling process; a larger one is cut into POOL_CHUNKS equal ranges
+of the lexicographic ranks of its sequences (the walk unranks each
+range's first and last sequence), which a pool of `shards` worker
+processes takes one at a time as each frees up.  Workers are pure;
+chunk results merge in rank order by summing counts and keeping the
+VIOLATION_LIMIT smallest violation rows of each law, so a report, and
+whether the budget refuses it, are the same for every shard count.  The
+zero-sum-free scan and the Davenport table always run in process: a
+pool never paid for them.
 
 The zero-sum-free scan runs over any group, depth first, and keeps only
 its current path T with its sum set, one |G|-bit int grown by
@@ -88,33 +77,30 @@ from operator import itemgetter
 
 from . import sums
 from .errors import BudgetExceededError, DomainError
-from .groups import AbelianGroup, ZSequence, element_neg, groups_of_order, units
+from .groups import AbelianGroup, ZSequence, element_neg, groups_of_order
 
-# The most leaves a scan may walk (about 100 s on one core at the Z_n
-# walk's 9-11 us per leaf); the sum-set scan counts its multisets.
-SCAN_LEAF_CAP = 10_000_000
+# The most work a scan may do: leaves walked plus subtrees settled for
+# a scan over Z_n (see _walk_packed), multisets for the sum-set scan.
+# At 1.3-2.9 us a unit on one core, length-n n = 31 does 9,813,340 in
+# 19.8 s, and n = 32 is refused after 17.1 s.
+SCAN_WORK_CAP = 10_000_000
 DAVENPORT_TABLE_CAP = 16
 VIOLATION_LIMIT = 100
 WITNESS_LIMIT = 100
-# Walks that reach fewer leaves than this run in the calling process
-# whatever `shards` says.  Measured with dealt chunks on 2 CPUs (Python
-# 3.11, fork start, a fresh interpreter per run, medians of 9-11, two
-# workers against one with the threshold forced to 0): raw length-n
-# n = 11 (20,330 leaves) loses 0.096 -> 0.105 s and n = 12 (48,940)
-# gains 0.196 -> 0.167 s; raw EGZ n = 7 (27,132) loses 0.048 -> 0.090 s;
-# orbit EGZ n = 7 (4,542) loses 0.028 -> 0.059 s and n = 8 (44,220)
-# gains 0.199 -> 0.163 s; orbit length-n n = 12 (12,380) loses 0.073 ->
-# 0.121 s, n = 13 (17,485) is a wash (0.191 -> 0.151 s in one set of
-# runs, 0.146 -> 0.183 s in another) and n = 14 (85,230) gains 0.68 ->
-# 0.43 s.
-POOL_MIN_INSTANCES = 40_000
+# A scan over Z_n of lower order than its family's entry runs in the
+# calling process whatever `shards` says.  Measured on 2 CPUs (Python
+# 3.11, fork start, a fresh interpreter per run, medians of 5, two
+# workers against one with the gate forced to 0): length-n n = 21 loses
+# 0.549 -> 0.620 s, n = 22 gains 0.731 -> 0.510 s, n = 23 1.42 -> 0.94 s
+# and n = 25 3.29 -> 1.93 s; EGZ n = 9 is a wash (0.132 -> 0.145 s) and
+# n = 10 gains 0.472 -> 0.355 s.
+POOL_MIN_ORDER = {"length-n": 22, "egz": 10}
 # A pooled walk is cut into this many equal rank ranges, which the pool
-# deals to its workers as each frees up: the canonical leaves crowd the
-# low ranks, so one equal range per worker left the upper one nearly
-# idle.  Of 16, 32, 64 and 128, timed with two workers at orbit length-n
-# n = 14..16 and orbit EGZ n = 9..10 (medians of 9 and of 11 fresh runs),
-# 32 is the smallest within 10% of the best on every scan (at most 8%
-# behind it); 16 falls 10-19% behind on some.
+# deals to its workers as each frees up: the work crowds some ranks, so
+# one equal range per worker left one nearly idle.  Of 16, 32, 64 and
+# 128, timed with two workers on the orbit walks this replaced (length-n
+# n = 14..16 and EGZ n = 9..10, medians of 9 and of 11 fresh runs), 32
+# was the smallest within 10% of the best on every scan.
 POOL_CHUNKS = 32
 
 
@@ -124,7 +110,7 @@ def _shown(x: int) -> str:
 
 
 def _budget(budget: int | None) -> int:
-    return SCAN_LEAF_CAP if budget is None else budget
+    return SCAN_WORK_CAP if budget is None else budget
 
 
 def _require_budget(count: int, cap: int, what: str) -> None:
@@ -203,44 +189,6 @@ def _run_workers(worker, arg_list: list, workers: int) -> list:
 
 
 @cache
-def _symmetry(n: int, orbit: bool) -> tuple[tuple[int, ...], ...]:
-    """The count-vector permutations a Z_n scan reduces by, the identity first.
-
-    With orbit there is one per unit u: multiplying a multiset by u sends
-    its count vector c to c' with c'[i] = c[p[i]], where p[i] = u^{-1} i
-    mod n.  Without it the identity is alone.  Every permutation must fix
-    0, since the k = 0 rule of _prefix_rules relies on it.
-    """
-    if not orbit:
-        return (tuple(range(n)),)
-    return tuple(tuple(pow(u, -1, n) * i % n for i in range(n)) for u in units(n))
-
-
-def _prefix_rules(perms: tuple) -> tuple[list[itemgetter], list[list[tuple]], int]:
-    """The pruning tables for _symmetry's perms: full image getters, per-value rules, group order.
-
-    For the j-th permutation p after the identity, and a prefix whose
-    last value is v, the counts c[0..v-1] are final.  With k the first
-    index where p[k] >= v (k <= v, since only v indices have p[i] < v),
-    the image counts c'[0..k-1] are final too.
-    rules[v][j] is (image, ident, cut): getters for c'[0..k-1] and
-    c[0..k-1] (index 0 alone when k = 0, which p fixes), and cut = k when
-    p[k] == v and k < v, else v.  With equal prefixes the current c[v]
-    is a lower bound on c'[cut], so c[v] > c[cut] rejects; cut = v makes
-    that test a no-op.
-    """
-    n = len(perms[0])
-    rules: list[list[tuple]] = [[] for _ in range(n)]
-    for p in perms[1:]:
-        for v in range(n):
-            k = next(i for i in range(n) if p[i] >= v)
-            cols = max(k, 1)
-            cut = k if p[k] == v and k < v else v
-            rules[v].append((itemgetter(*p[:cols]), itemgetter(*range(cols)), cut))
-    return [itemgetter(*p) for p in perms[1:]], rules, len(perms)
-
-
-@cache
 def _zero_column(n: int) -> int:
     """Bits L*n for L = 1..n: a nonempty subsequence of length L sums to 0."""
     return sum(1 << (length * n) for length in range(1, n + 1))
@@ -274,10 +222,14 @@ def _unrank(n: int, length: int, rank: int) -> list[int]:
     return out
 
 
-def _walk_packed(
-    n: int, length: int, ranks: tuple[int, int], leaf, orbit: bool = False, pair_free: bool = False
-) -> None:
-    """Call leaf(packed, combo, counts, cover) on each non-decreasing sequence.
+def _over_budget(n: int, length: int, cap: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"length-{length} scan over Z_{n}, leaves walked plus subtrees settled: over budget {_shown(cap)}"
+    )
+
+
+def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, cut, cap: int) -> tuple[int, int]:
+    """Call leaf(packed, combo, counts) on each non-decreasing sequence not settled by cut.
 
     Covers the length-`length` sequences over Z_n whose rank (see
     _unrank) is in [start, stop), in lexicographic order.  combo is the
@@ -285,122 +237,91 @@ def _walk_packed(
     layout of sums.cyclic_add_residue, cut to lengths 0..n.  All three
     are only valid during the call.
 
-    With pair_free, only the sequences in which no two entries sum to 0
-    are covered: the walk skips v when -v is already in the prefix
-    (counts[-v] is counts[(n - v) % n]), which also skips a second n/2
-    or 0, and cuts the subtree below.  That class is closed under units,
-    so the orbit pruning below is unchanged.
-
-    With orbit, only the canonical sequences (no unit image u*S sorts
-    below S) reach leaf, and cover is the size of their orbit; without
-    it, every sequence does, with cover 1.  Each node carries the units
-    still live below it (see _prefix_rules): a unit whose image of the
-    final part of the prefix is larger cuts the subtree, a smaller one
-    can never reject or stabilize anything below and is dropped, and an
-    equal one stays.  A leaf compares only the live units' full images.
+    cut(packed, combo, supp, rest) is asked of each nonempty prefix, the
+    whole sequence included, with its supp distinct values and the rest
+    entries still to come; when it holds, it must hold for every
+    extension too, and the prefix's C(n-v+rest-1, rest) sequences (v its
+    last value) are settled: counted, not visited.
 
     Only the nodes on the paths to the range's first and last sequence
     check bounds (`edge`); every subtree between those paths is complete
     and goes to `rec`, which checks none, so the bounds cost O(n*length)
-    steps per range and nothing per leaf.
+    steps per range and nothing per leaf.  Only rec settles a subtree:
+    one cut by the range has no closed-form count.
+
+    Returns (settled, work): the sequences settled, and the work, which
+    counts each leaf walked with no settled prefix, and each settled
+    prefix whose parent is not settled.  That prefix is counted by the
+    range that holds its first sequence (v repeated), even when an edge
+    node walks on below it, so the ranges of any cut of the ranks add up
+    to the same work.  BudgetExceededError is raised once the work
+    passes cap.
     """
     start, stop = ranks
     if start >= stop:
-        return
+        return 0, 0
     first = _unrank(n, length, start)
     final = _unrank(n, length, stop - 1)
     lo_mask, hi_mask = sums.cyclic_rotation_masks(n, n)
-    full, rules, order = _prefix_rules(_symmetry(n, orbit))
     combo: list[int] = []
     counts = [0] * n
     last = length - 1
+    settled = work = 0
 
-    def prune(v: int, live: list[int]) -> list[int] | None:
-        # the live units below the prefix just extended by v, or None to cut
-        rule = rules[v]
-        cv = counts[v]
-        if cv > 1:
-            # v was already last: the final part of the prefix is unchanged
-            # and equal under every live unit; only the grown c[v] can reject
-            for j in live:
-                if cv > counts[rule[j][2]]:
-                    return None
-            return live
-        kept = []
-        for j in live:
-            image, ident, cut = rule[j]
-            a = image(counts)
-            b = ident(counts)
-            if a > b:
-                return None
-            if a == b:
-                if cv > counts[cut]:
-                    return None
-                kept.append(j)
-        return kept
-
-    def cover_of(live: list[int]) -> int:
-        # orbit size of the finished counts, or 0 when a unit image sorts lower
-        here = tuple(counts)
-        stab = 1
-        for j in live:
-            image = full[j](counts)
-            if image > here:
-                return 0
-            if image == here:
-                stab += 1
-        return order // stab
-
-    def rec(lo_v: int, hi_v: int, depth: int, x: int, live: list[int]) -> None:
-        # sums.cyclic_add_residue is inlined in both loops: a call per node
-        # would add about 15% to the walk
-        if depth == last:
-            for v in range(lo_v, hi_v):
-                if pair_free and counts[-v]:
-                    continue
-                combo.append(v)
-                counts[v] += 1
-                cover = cover_of(live) if live else order
-                if cover:
-                    leaf(x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n), combo, counts, cover)
-                combo.pop()
-                counts[v] -= 1
-            return
+    def rec(lo_v: int, hi_v: int, depth: int, x: int, supp: int, free: bool) -> None:
+        # free: a settled edge node above has counted the work down here.
+        # sums.cyclic_add_residue is inlined: a call per node would add
+        # about 15% to the walk
+        nonlocal settled, work
+        rest = last - depth
         for v in range(lo_v, hi_v):
-            if pair_free and counts[-v]:
-                continue
+            y = x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n)
+            grown = supp + (not counts[v])
             combo.append(v)
             counts[v] += 1
-            below = prune(v, live) if live else live
-            if below is not None:
-                rec(v, n, depth + 1, x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n), below)
+            if cut(y, combo, grown, rest):
+                settled += comb(n - v + rest - 1, rest)
+                work += not free
+            elif rest:
+                rec(v, n, depth + 1, y, grown, free)
+            else:
+                leaf(y, combo, counts)
+                work += not free
             combo.pop()
             counts[v] -= 1
+        if work > cap:
+            raise _over_budget(n, length, cap)
 
-    def edge(depth: int, x: int, left: bool, right: bool, live: list[int]) -> None:
+    def edge(depth: int, x: int, supp: int, left: bool, right: bool, free: bool) -> None:
         # combo equals first[:depth] when left, final[:depth] when right
+        nonlocal work
         lo_v = first[depth] if left else combo[-1]
         hi_v = final[depth] if right else n - 1
         if depth == last:
-            rec(lo_v, hi_v + 1, depth, x, live)
+            rec(lo_v, hi_v + 1, depth, x, supp, free)
             return
         for v in range(lo_v, hi_v + 1):
             on_left = left and v == lo_v
             on_right = right and v == hi_v
             if not (on_left or on_right):
-                rec(v, v + 1, depth, x, live)
+                rec(v, v + 1, depth, x, supp, free)
                 continue
-            if pair_free and counts[-v]:
-                continue
+            y = sums.cyclic_add_residue(x, v, n, lo_mask, hi_mask)
+            grown = supp + (not counts[v])
             combo.append(v)
             counts[v] += 1
-            below = prune(v, live) if live else live
-            if below is not None:
-                edge(depth + 1, sums.cyclic_add_residue(x, v, n, lo_mask, hi_mask), on_left, on_right, below)
+            below = free
+            if not free and cut(y, combo, grown, last - depth):
+                # settled, but the range cuts it: walk on, and count it here
+                # when its first sequence is in the range
+                below = True
+                work += not on_left or all(u == v for u in first[depth + 1 :])
+            edge(depth + 1, y, grown, on_left, on_right, below)
             combo.pop()
             counts[v] -= 1
 
-    edge(0, 1, True, True, list(range(len(full))))
+    edge(0, 1, 0, True, True, False)
+    return settled, work
 
 
 def _keep_smallest(rows: list[dict]) -> None:
@@ -432,33 +353,42 @@ def _add_violation(bundle: dict, law: str, sequence, observed, expected) -> None
 # the length-n scan over Z_n: one pass feeds four checkers
 
 
-def _length_n_bundle(**fields) -> dict:
-    """A result of the length-n scan: `fields`, and zero counts and empty tables elsewhere.
+def _length_n_cut(n: int):
+    """The length-n scan's cut (see _walk_packed and the module docstring).
 
-    Like every scan result it holds its violations as totals (law ->
-    count) and rows, both written by _add_violation.
+    A prefix settles when its shortest zero-sum has length m_p <= n-3
+    and supp_p + min(rest, n-1-v) <= n - m_p.
     """
-    out = {"instances": 0, "canonical": 0, "slice_nm1": 0, "slice_nm2": 0, "full_instances": 0}
-    out.update(full_witnesses=[], realized={}, first_tight={}, totals={}, rows=[])
-    out.update(fields)
-    return out
+
+    def cut(packed: int, combo: list[int], supp: int, rest: int) -> bool:
+        bound = supp + min(rest, n - 1 - combo[-1])
+        if bound >= n:
+            # n - m_p < n for every m_p
+            return False
+        m = _leaf_min_zero_length(packed, n)
+        return m is not None and m <= n - 3 and m <= n - bound
+
+    return cut
 
 
 def _scan_length_n(args: tuple) -> dict:
     """Verify every length-n multiset over Z_n with rank in [start, stop).
 
-    For each instance the minimal zero-sum length m and the support size
-    are computed (packed cardinality-resolved subset sums), and all the
-    length-n statements are evaluated at once.  args is (n, (start,
-    stop), orbit, pair_free), the last two passed on to _walk_packed.
+    For each walked instance the minimal zero-sum length m and the
+    support size are computed (packed cardinality-resolved subset sums),
+    and all the length-n statements are evaluated at once; a settled
+    subtree adds to instances alone.  args is (n, (start, stop), cap),
+    passed on to _walk_packed.  Like every scan result it holds its
+    violations as totals (law -> count) and rows, both written by
+    _add_violation.
     """
-    n, ranks, orbit, pair_free = args
+    n, ranks, cap = args
     allowed_s = {0, 1, n - 2, n - 1}
-    out = _length_n_bundle()
+    out = {"instances": 0, "work": 0, "slice_nm1": 0, "slice_nm2": 0, "full_instances": 0}
+    out.update(full_witnesses=[], realized={}, first_tight={}, totals={}, rows=[])
 
-    def leaf(packed: int, combo: list[int], counts: list[int], cover: int) -> None:
-        out["instances"] += cover
-        out["canonical"] += 1
+    def leaf(packed: int, combo: list[int], counts: list[int]) -> None:
+        out["instances"] += 1
         supp = len(set(combo))
         m = _leaf_min_zero_length(packed, n)
         if m is None:
@@ -470,15 +400,15 @@ def _scan_length_n(args: tuple) -> dict:
             _add_violation(out, "support-bound", combo, supp, s + 1)
         if n >= 3:
             if m == n - 1:
-                out["slice_nm1"] += cover
+                out["slice_nm1"] += 1
                 if supp != 2:
                     _add_violation(out, "min-length-n-minus-1-support", combo, supp, 2)
             elif m == n - 2:
-                out["slice_nm2"] += cover
+                out["slice_nm2"] += 1
                 if supp > 3:
                     _add_violation(out, "min-length-n-minus-2-support", combo, supp, 3)
         if m == n:
-            out["full_instances"] += cover
+            out["full_instances"] += 1
             if len(out["full_witnesses"]) < WITNESS_LIMIT:
                 out["full_witnesses"].append(list(combo))
             if supp != 1 or gcd(combo[0], n) != 1:
@@ -487,7 +417,7 @@ def _scan_length_n(args: tuple) -> dict:
             _add_violation(out, "short-zero-sum-bound", combo, m, n - supp + 1)
         if supp == s + 1:
             # the support bound is tight here; structure laws apply
-            out["realized"][s] = out["realized"].get(s, 0) + cover
+            out["realized"][s] = out["realized"].get(s, 0) + 1
             if s not in out["first_tight"]:
                 out["first_tight"][s] = list(combo)
             if s not in allowed_s:
@@ -505,99 +435,9 @@ def _scan_length_n(args: tuple) -> dict:
                         out, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
                     )
 
-    _walk_packed(n, n, ranks, leaf, orbit, pair_free)
+    settled, out["work"] = _walk_packed(n, n, ranks, leaf, _length_n_cut(n), cap)
+    out["instances"] += settled
     return out
-
-
-@cache
-def _multisets(n: int, length: int, kind: str, orbit: bool) -> int:
-    """The length-`length` multisets over Z_n of one kind, or with orbit their orbits.
-
-    kind is "all", "zero-free" (no 0) or "pair-free" (zero-free, and no
-    two entries sum to 0); each kind is closed under units.  Burnside:
-    the orbits number the mean over the permutations p of _symmetry of
-    the multisets p fixes (raw mode has the identity alone, so every
-    multiset is its own orbit).  A fixed multiset has one count per
-    cycle C of p, so the fixed ones are the t^length coefficient of the
-    product over the cycles of the counts' generating functions:
-    1/(1 - t^|C|), except that C = {0} takes only 0 in a zero-free
-    multiset.  In a pair-free one, a cycle with C = -C holds some a with
-    n-a and stays unused, except {n/2}, which may be used once (1 + t);
-    of a mirror pair C != -C at most one is used, so the one met first
-    stands for both with (1 + t^|C|)/(1 - t^|C|).
-    """
-    perms = _symmetry(n, orbit)
-    fixed = 0
-    for p in perms:
-        poly = [1] + [0] * length
-        seen = set()
-        for first in range(n):
-            if first in seen:
-                continue
-            size = 0
-            x = first
-            while x not in seen:
-                seen.add(x)
-                x = p[x]
-                size += 1
-            # `first` is the least member of its cycle.  A prefix sum over
-            # step `grow` divides by 1 - t^grow, a suffix sum over step
-            # `once` multiplies by 1 + t^once
-            grow = once = 0
-            if kind == "all" or (first and kind == "zero-free"):
-                grow = size
-            elif kind == "pair-free" and first:
-                if n - first not in seen:
-                    grow = once = size
-                elif 2 * first == n:
-                    once = 1
-            if once:
-                for k in range(length, once - 1, -1):
-                    poly[k] += poly[k - once]
-            if grow:
-                for k in range(grow, length + 1):
-                    poly[k] += poly[k - grow]
-        fixed += poly[length]
-    return fixed // len(perms)
-
-
-def _zero_block(n: int, orbit: bool) -> dict:
-    """_scan_length_n over the ranks [0, C(2n-2, n-1)), in closed form.
-
-    Those ranks are the multisets that contain 0, and each has m = 1.
-    So s = n-1, every law holds, and the support bound is tight only on
-    {0, 1, ..., n-1}, a single unit orbit.  Removing one 0 maps the
-    block onto the length-(n-1) multisets, unit orbits included, which
-    _multisets counts.
-    """
-    size = comb(2 * n - 2, n - 1)
-    return _length_n_bundle(
-        instances=size,
-        canonical=_multisets(n, n - 1, "all", orbit),
-        slice_nm2=size if n == 3 else 0,
-        full_instances=1 if n == 1 else 0,
-        full_witnesses=[[0]] if n == 1 else [],
-        realized={n - 1: 1},
-        first_tight={n - 1: list(range(n))},
-    )
-
-
-def _pair_block(n: int, orbit: bool) -> dict:
-    """_scan_length_n over the zero-free multisets with an inverse pair, in closed form.
-
-    For n >= 5.  A zero-free S that holds a and n-a, or n/2 twice, has
-    m = 2, so s = n-2: no slice or full-length law applies, every law
-    holds, and the support bound is tight only on {1, ..., n-1} plus one
-    repeated entry, n-1 multisets, of which the first in rank order
-    repeats 1.  The block is the zero-free multisets less the pair-free
-    ones, both counted by _multisets.
-    """
-    return _length_n_bundle(
-        instances=comb(2 * n - 2, n) - _multisets(n, n, "pair-free", False),
-        canonical=_multisets(n, n, "zero-free", orbit) - _multisets(n, n, "pair-free", orbit),
-        realized={n - 2: n - 1},
-        first_tight={n - 2: [1, *range(1, n)]},
-    )
 
 
 def _merge_scans(bundles: list[dict]) -> dict:
@@ -638,9 +478,7 @@ def clear_caches() -> None:
     _scan_cache.clear()
 
 
-def _report(
-    statement_id: str, parameters: dict, key: tuple, scan, details, orbit_reduced: bool = False
-) -> VerificationReport:
+def _report(statement_id: str, parameters: dict, key: tuple, scan, details) -> VerificationReport:
     """The one builder of a VerificationReport.
 
     scan() runs once per cache key; the report takes its instances, the
@@ -659,7 +497,7 @@ def _report(
         statement_id=statement_id,
         parameters=parameters,
         instances_checked=bundle["instances"],
-        orbit_reduced=orbit_reduced,
+        orbit_reduced=False,
         violations=rows[:VIOLATION_LIMIT],
         violations_total=sum(bundle["totals"].get(law, 0) for law in laws),
         details=details(bundle),
@@ -667,48 +505,26 @@ def _report(
     )
 
 
-def _zn_family(family: str, n: int) -> tuple[int, str]:
-    """(length, kind): the `family` scan over Z_n walks the length-`length` multisets of that kind.
+def _zn_bundle(family: str, n: int, shards: int, cap: int) -> dict:
+    """The merged result of the `family` scan over Z_n, walked with budget cap.
 
-    "length-n" walks the pair-free ones from n = 5 (the zero-free ones
-    below) after _zero_block and _pair_block; "egz" walks every one of
-    length 2n-1 after _sharpness_block.  See the module docstring.
+    "length-n" walks the length-n multisets; "egz" walks those of length
+    2n-1 after _sharpness_block.  Walked plus settled leaves must cover
+    the raw space exactly, and the work of all chunks together must stay
+    within cap.
     """
-    if family == "egz":
-        return 2 * n - 1, "all"
-    return n, "pair-free" if n >= 5 else "zero-free"
-
-
-def _zn_bundle(family: str, n: int, orbit: bool, shards: int) -> dict:
-    """The merged result of one scan over Z_n (see _zn_family).
-
-    The closed-form blocks go first, so first_tight keeps rank order.
-    The merge must cover the raw space, and the walked leaves must equal
-    their closed-form count.
-    """
-    length, kind = _zn_family(family, n)
-    pair_free = kind == "pair-free"
+    length = n if family == "length-n" else 2 * n - 1
     space = comb(n + length - 1, length)
-    # a zero-free walk starts past the multisets that hold 0, the first ranks
-    start = 0 if kind == "all" else comb(n + length - 2, length - 1)
-    leaves = _multisets(n, length, kind, orbit)
-    if family == "egz":
-        head, worker = [_sharpness_block(n)], _scan_egz
-    else:
-        head = [_zero_block(n, orbit)] + ([_pair_block(n, orbit)] if pair_free else [])
-        worker = _scan_length_n
+    head, worker = ([], _scan_length_n) if family == "length-n" else ([_sharpness_block(n)], _scan_egz)
     # a pooled walk is cut into POOL_CHUNKS equal rank ranges, any other is one
-    cut = POOL_CHUNKS if shards > 1 and leaves >= POOL_MIN_INSTANCES else 1
-    bounds = [start + (space - start) * i // cut for i in range(cut + 1)]
-    chunks = [(n, (a, b), orbit, pair_free) for a, b in zip(bounds, bounds[1:]) if a < b]
-    walked = _run_workers(worker, chunks, shards)
-    merged = _merge_scans(head + walked)
-    # orbit sizes must account for the raw space exactly
+    cut = POOL_CHUNKS if shards > 1 and n >= POOL_MIN_ORDER[family] else 1
+    bounds = [space * i // cut for i in range(cut + 1)]
+    chunks = [(n, (a, b), cap) for a, b in zip(bounds, bounds[1:]) if a < b]
+    merged = _merge_scans(head + _run_workers(worker, chunks, shards))
     if merged["instances"] != space:
         raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")
-    reached = sum(part["canonical"] for part in walked)
-    if reached != leaves:
-        raise RuntimeError(f"walk reached {reached} of {leaves} canonical multisets")
+    if merged["work"] > cap:
+        raise _over_budget(n, length, cap)
     return merged
 
 
@@ -728,6 +544,20 @@ def _more_multisets_than(values: int, length: int, limit: int) -> bool:
     return False
 
 
+def _more_work_than(family: str, n: int, cap: int) -> bool:
+    """Whether a lower bound on the work of the `family` scan over Z_n passes cap.
+
+    A prefix without the zero-sum its cut reads never settles, and the
+    unsettled prefixes of one depth head disjoint subtrees, each holding
+    some work.  For EGZ those include every prefix shorter than n; for
+    length n, every prefix of d entries from 1..floor((n-1)/d), whose
+    subset sums all lie in 1..n-1.
+    """
+    if family == "egz":
+        return _more_multisets_than(n, n - 1, cap)
+    return any(_more_multisets_than((n - 1) // d, d, cap) for d in range(1, n))
+
+
 def _zn_report(
     statement_id: str,
     family: str,
@@ -739,29 +569,31 @@ def _zn_report(
 ) -> VerificationReport:
     """The report of one statement read off the `family` scan over Z_n.
 
-    The budget bounds the walk's closed-form leaf count.  A lower bound
-    refuses a large n before that count, whose cost grows with n: every
-    multiset over 1..floor((n-1)/2) is pair-free (over Z_n for EGZ), and
-    an orbit has at most n members.  details(bundle) gives the
-    statement's own details; every report also carries
-    canonical_instances.
+    The budget bounds the scan's work.  _more_work_than refuses a large n
+    at once, before the masks, whose n^3 bits alone could exhaust
+    memory, are built; a scan cached under a larger budget is refused by
+    the work it did.  details(bundle) gives the statement's own details;
+    every report also carries canonical_instances, which equals
+    instances_checked now that no scan is orbit-reduced (zsbench reads
+    it).  orbit_reduced=True is refused: the raw walk with settled
+    subtrees is faster than the orbit walk was.
     """
     _require_order(statement_id, n)
+    if orbit_reduced:
+        raise DomainError(f"{statement_id}: orbit reduction is gone, every scan over Z_n is raw")
     if shards < 1:
         raise DomainError(f"{statement_id} needs shards >= 1, got {shards}")
-    length, kind = _zn_family(family, n)
+    length = n if family == "length-n" else 2 * n - 1
     cap = _budget(budget)
-    what = f"{statement_id} at n = {n}, leaves walked"
-    if _more_multisets_than(n if kind == "all" else (n - 1) // 2, length, cap * n):
-        raise BudgetExceededError(f"{what}: over budget {_shown(cap)}")
-    _require_budget(_multisets(n, length, kind, orbit_reduced), cap, what)
+    key = (family, n)
+    if _more_work_than(family, n, cap) or key in _scan_cache and _scan_cache[key]["work"] > cap:
+        raise _over_budget(n, length, cap)
     return _report(
         statement_id,
         {"n": n} if family == "length-n" else {"n": n, "length": length},
-        (family, n, orbit_reduced),
-        lambda: _zn_bundle(family, n, orbit_reduced, shards),
-        lambda bundle: {"canonical_instances": bundle["canonical"], **details(bundle)},
-        orbit_reduced,
+        key,
+        lambda: _zn_bundle(family, n, shards, cap),
+        lambda bundle: {"canonical_instances": bundle["instances"], **details(bundle)},
     )
 
 
@@ -772,7 +604,7 @@ def _zn_report(
 def verify_thm_main(
     n: int,
     *,
-    orbit_reduced: bool = True,
+    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -799,7 +631,7 @@ def verify_thm_main(
 def verify_prop_all_equal(
     n: int,
     *,
-    orbit_reduced: bool = True,
+    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -818,7 +650,7 @@ def verify_prop_all_equal(
 def verify_extremal_structure(
     n: int,
     *,
-    orbit_reduced: bool = True,
+    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -842,7 +674,7 @@ def verify_extremal_structure(
 def verify_corollary_short_zero_sum(
     n: int,
     *,
-    orbit_reduced: bool = True,
+    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -938,27 +770,34 @@ def verify_sumset_lemmas(
 # exact-cardinality zero-sums in windows of length 2n-1
 
 
+def _egz_cut(n: int):
+    """The EGZ scan's cut: a prefix with an n-term zero-sum (bit n*n) settles."""
+    target = n * n
+    return lambda packed, combo, supp, rest: packed >> target & 1
+
+
 def _scan_egz(args: tuple) -> dict:
     """Check every length 2n-1 multiset over Z_n with rank in [start, stop)
-    for n entries summing to zero (bit n*n of the packed sums).  args is
-    (n, (start, stop), orbit, pair_free), as for _scan_length_n."""
-    n, ranks, orbit, pair_free = args
-    out = {"instances": 0, "canonical": 0, "totals": {}, "rows": []}
+    for n entries summing to zero (bit n*n of the packed sums); a settled
+    subtree passes whole.  args is (n, (start, stop), cap), as for
+    _scan_length_n."""
+    n, ranks, cap = args
+    out = {"instances": 0, "work": 0, "totals": {}, "rows": []}
     target = n * n
 
-    def leaf(packed: int, combo: list[int], counts: list[int], cover: int) -> None:
-        out["instances"] += cover
-        out["canonical"] += 1
+    def leaf(packed: int, combo: list[int], counts: list[int]) -> None:
+        out["instances"] += 1
         if not packed >> target & 1:
             _add_violation(out, "exact-n-zero-sum", combo, False, True)
 
-    _walk_packed(n, 2 * n - 1, ranks, leaf, orbit, pair_free)
+    settled, out["work"] = _walk_packed(n, 2 * n - 1, ranks, leaf, _egz_cut(n), cap)
+    out["instances"] += settled
     return out
 
 
 def _sharpness_block(n: int) -> dict:
     """The EGZ scan's sharpness check: n-1 zeros with n-1 ones have no n-term zero-sum."""
-    out = {"instances": 0, "canonical": 0, "totals": {}, "rows": []}
+    out = {"instances": 0, "work": 0, "totals": {}, "rows": []}
     sharp = [0] * (n - 1) + [1] * (n - 1)
     if sums.has_zero_sum_of_size(ZSequence.from_iterable(AbelianGroup((n,)), sharp), n):
         _add_violation(out, "sharpness-witness", sharp, "has exact-n zero-sum", "none")
@@ -968,7 +807,7 @@ def _sharpness_block(n: int) -> dict:
 def verify_egz(
     n: int,
     *,
-    orbit_reduced: bool = True,
+    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -1079,13 +918,14 @@ def verify_statement(
     n_max: int,
     *,
     n: int | None = None,
-    orbit_reduced: bool = True,
+    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> list[VerificationReport]:
     """The reports of one STATEMENTS entry over its orders up to n_max,
     or at the single order n.  `shards` and `orbit_reduced` apply to the
-    scans over Z_n only, but every statement refuses shards < 1.  An
+    scans over Z_n only, which refuse orbit_reduced=True, but every
+    statement refuses shards < 1.  An
     n_max below the statement's floor leaves no order to check and
     raises DomainError."""
     check, floor, cap, _ = STATEMENTS[statement]
@@ -1105,7 +945,7 @@ def verify_statement(
 def verify_all(
     n_max: int,
     *,
-    orbit_reduced: bool = True,
+    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> list[VerificationReport]:

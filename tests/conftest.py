@@ -1,10 +1,11 @@
 """Shared brute-force oracles and test-only helpers for the test suite.
 
 The oracles deliberately avoid the library's DP machinery: every
-subsequence is enumerated outright and orbit counts come from
-Burnside's formula, so any agreement with the fast paths is meaningful.
-packed_pairs only decodes the packed layout of the Z_n scans
-(sums.cyclic_add_residue: bit L*|G| + v).
+subsequence is enumerated outright, so any agreement with the fast
+paths is meaningful.  packed_pairs only decodes the packed layout of
+the Z_n scans (sums.cyclic_add_residue: bit L*|G| + v), and
+replay_settled_walk checks the prefixes a Z_n walk settled against the
+cut's argument with no `sums` or `verify` code.
 The unit action, its orbit representative, the units of a quadratic
 order, element scaling and orders, and the sequence parser live here
 because only the tests use them.  brute_element_orders
@@ -16,7 +17,7 @@ forms over (a, b) as the reference for quad.reduced_forms' (a, c) walk.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add, mod
 
 from zerosum import quad
@@ -120,35 +121,44 @@ def packed_pairs(order: int, packed: int) -> set[tuple[int, int]]:
     return {divmod(bit, order) for bit in range(packed.bit_length()) if packed >> bit & 1}
 
 
-def burnside_orbit_count(n: int) -> int:
-    """Orbits of length-n multisets over Z_n under x -> u*x, u a unit.
+def _zero_sum_lengths(values: tuple[int, ...], n: int) -> set[int]:
+    """The lengths of the nonempty zero-sum sub-multisets of values over Z_n."""
+    reach = {(0, 0)}
+    for x in values:
+        reach |= {(k + 1, (r + x) % n) for k, r in reach}
+    return {k for k, r in reach if k and not r}
 
-    Burnside: the mean over units u of the multisets u fixes.  A fixed
-    multiset takes each cycle of x -> u*x with one multiplicity, so the
-    count is the t^n coefficient of the product over cycles C of
-    1/(1 - t^|C|).
+
+def replay_settled_walk(n: int, length: int, settled: list, walked: list, egz: bool) -> None:
+    """Check a walk over the length-`length` sequences over Z_n against the cut's argument.
+
+    settled holds (prefix, rest) for each prefix whose subtree the walk
+    settled, with rest entries still to come; walked holds the leaves it
+    visited.  Each settled prefix must carry what the argument needs:
+    for EGZ, n entries summing to 0; for length n, a zero-sum of length
+    m_p <= n - 3, and supp_p + min(rest, n-1-v) <= n - m_p for its
+    supp_p distinct values and last value v.  The settled prefixes'
+    C(n-v+rest-1, rest) leaves and the walked leaves must add up to
+    C(n+length-1, length), and cover each sequence exactly once.
     """
-    unit_list = [u for u in range(1, n + 1) if gcd(u, n) == 1]
-    total = 0
-    for u in unit_list:
-        seen = [False] * n
-        poly = [1] + [0] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            size = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = (u * x) % n
-                size += 1
-            # multiply by 1/(1 - t^size), truncated at t^n
-            for k in range(size, n + 1):
-                poly[k] += poly[k - size]
-        total += poly[n]
-    count, rest = divmod(total, len(unit_list))
-    assert rest == 0, "Burnside sum not divisible by phi(n)"
-    return count
+    for prefix, rest in settled:
+        zeros = _zero_sum_lengths(prefix, n)
+        assert len(prefix) + rest == length, prefix
+        if egz:
+            assert n in zeros, prefix
+            continue
+        assert zeros, prefix
+        m_p = min(zeros)
+        assert m_p <= n - 3, (prefix, m_p)
+        assert len(set(prefix)) + min(rest, n - 1 - prefix[-1]) <= n - m_p, (prefix, rest, m_p)
+    count = sum(comb(n - prefix[-1] + rest - 1, rest) for prefix, rest in settled)
+    assert count + len(walked) == comb(n + length - 1, length), (n, count, len(walked))
+    heads = {prefix for prefix, _ in settled}
+    seen = set(walked)
+    assert len(seen) == len(walked)
+    for leaf in combinations_with_replacement(range(n), length):
+        covers = sum(leaf[:d] in heads for d in range(1, length + 1)) + (leaf in seen)
+        assert covers == 1, (leaf, covers)
 
 
 # ---------------------------------------------------------------------------

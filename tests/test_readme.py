@@ -42,15 +42,18 @@ def test_readme_limits_match_the_code():
     stated = {(m, name): _value(v) for m, name, v in STATED.findall(README.read_text())}
     assert set(stated) >= {
         ("sums", "DENSE_ORDER_CAP"),
+        ("sums", "DENSE_BIT_CAP"),
         ("sums", "WITNESS_BIT_CAP"),
         ("sums", "DAVENPORT_ORDER_CAP"),
         ("quad", "CLASS_GROUP_DISC_CAP"),
-        ("verify", "POOL_MIN_INSTANCES"),
         ("verify", "POOL_CHUNKS"),
-        ("verify", "SCAN_LEAF_CAP"),
+        ("verify", "SCAN_WORK_CAP"),
     }, stated
     for (module, name), value in stated.items():
         assert getattr(importlib.import_module(f"zerosum.{module}"), name) == value, name
+    # the pool gate is one order per family
+    gate = importlib.import_module("zerosum.verify").POOL_MIN_ORDER
+    assert f"`verify.POOL_MIN_ORDER` = `{gate!r}`" in README.read_text()
 
 
 @pytest.mark.parametrize("command, shown", TRANSCRIPTS, ids=[c for c, _ in TRANSCRIPTS])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -367,6 +368,37 @@ def test_dense_routines_refuse_order_above_cap():
         sumset(seq)
     with pytest.raises(BudgetExceededError):
         has_zero_sum_of_size(seq, 2)
+
+
+def test_dense_routines_refuse_more_bits_than_the_cap(monkeypatch):
+    # 400 copies of -1 over Z_1,000,000 would hold 400 layers of |G| bits,
+    # 4*10^8 in all (mz took 9.3 s and peaked at 51.6 MB before the cap)
+    group = AbelianGroup((1_000_000,))
+    seq = ZSequence.from_iterable(group, [(999_999,)] * 400)
+    t0 = time.perf_counter()
+    for run in (mz, sumset, lambda s: has_zero_sum_of_size(s, 200)):
+        with pytest.raises(BudgetExceededError, match=r"sets\*\|G\| <= 134217728 bits, got \d+\*1000000$"):
+            run(seq)
+    assert time.perf_counter() - t0 < 1
+    # the cap is on the product: min(k, |G|) sets for mz and sumset, size + 1
+    # for has_zero_sum_of_size
+    seq = seq_of(6, [1] * 8)
+    monkeypatch.setattr(sums, "DENSE_BIT_CAP", 6 * 6)
+    assert mz(seq).value == 6 and len(sumset(seq)) == 6
+    assert has_zero_sum_of_size(seq, 5) is False
+    monkeypatch.setattr(sums, "DENSE_BIT_CAP", 6 * 6 - 1)
+    for run in (mz, sumset, lambda s: has_zero_sum_of_size(s, 6)):
+        with pytest.raises(BudgetExceededError):
+            run(seq)
+    assert has_zero_sum_of_size(seq, 4) is False
+
+
+def test_sumset_of_a_long_sparse_run():
+    # 30 copies of -1 over Z_1,000,000: the sums are -L for L = 1..30, each
+    # first reached by L entries, listed by element index
+    group = AbelianGroup((1_000_000,))
+    got = sumset(ZSequence.from_iterable(group, [(999_999,)] * 30))
+    assert got.lengths == tuple(((1_000_000 - L,), L) for L in range(30, 0, -1))
 
 
 @given(st.data())

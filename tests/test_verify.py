@@ -1,4 +1,4 @@
-"""Exhaustive verification engine: accounting, orbit reduction,
+"""Exhaustive verification engine: accounting, the settled-subtree cut,
 determinism across shard counts, and fault injection."""
 
 from __future__ import annotations
@@ -8,12 +8,14 @@ import dataclasses
 import inspect
 import json
 import multiprocessing
+import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
-from math import comb, gcd, prod
+from itertools import combinations_with_replacement
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -23,9 +25,8 @@ from conftest import (
     brute_davenport,
     brute_length_sums,
     brute_mz,
-    burnside_orbit_count,
-    canonical_orbit_representative,
     packed_pairs,
+    replay_settled_walk,
 )
 import zerosum
 from zerosum import sums, verify
@@ -46,8 +47,8 @@ def test_support_bound_frozen_numbers_n6():
     assert r.statement_id == "support-bound"
     assert r.parameters == {"n": 6}
     assert r.instances_checked == 462 == comb(11, 6)
-    assert r.orbit_reduced is True
-    assert r.details["canonical_instances"] == 246
+    assert r.orbit_reduced is False
+    assert r.details["canonical_instances"] == 462
     assert r.details["slices"] == {
         "min-length-n-minus-1": {"instances": 2, "violations": 0},
         "min-length-n-minus-2": {"instances": 4, "violations": 0},
@@ -55,21 +56,17 @@ def test_support_bound_frozen_numbers_n6():
 
 
 def test_instances_counted_in_raw_space_with_and_without_orbit():
+    # every scan is raw: orbit_reduced=False is the default, and the
+    # report counts each multiset once
     for n in range(2, 9):
-        on = verify.verify_thm_main(n, orbit_reduced=True)
+        default = verify.verify_thm_main(n)
+        verify.clear_caches()
         off = verify.verify_thm_main(n, orbit_reduced=False)
-        assert on.instances_checked == off.instances_checked == comb(2 * n - 1, n)
-        assert on.passed and off.passed
-    # orbit reduction only saves work when the unit group is nontrivial
-    r5 = verify.verify_thm_main(5)
-    assert r5.details["canonical_instances"] == 34
-    assert r5.instances_checked == 126
-
-
-def test_canonical_instances_match_burnside():
-    for n, expect in ((6, 246), (9, 4114)):
-        r = verify.verify_thm_main(n)
-        assert r.details["canonical_instances"] == burnside_orbit_count(n) == expect
+        assert default.to_json(include_elapsed=False) == off.to_json(include_elapsed=False)
+        assert off.instances_checked == off.details["canonical_instances"] == comb(2 * n - 1, n)
+        assert off.passed and off.orbit_reduced is False
+        with pytest.raises(DomainError, match="orbit reduction is gone"):
+            verify.verify_thm_main(n, orbit_reduced=True)
 
 
 def test_unrank_matches_lexicographic_enumeration():
@@ -82,35 +79,36 @@ def test_unrank_matches_lexicographic_enumeration():
                 verify._unrank(n, length, bad)
 
 
+def _never(packed, combo, supp, rest):
+    return False
+
+
 def test_walk_packed_leaves_match_subset_enumeration():
     # every leaf of both scan shapes, decoded and checked against brute force
     for n, length in ((4, 4), (5, 5), (4, 7), (5, 9)):
         seen = []
 
-        def leaf(packed, combo, counts, cover):
-            assert cover == 1
+        def leaf(packed, combo, counts):
             assert counts == [combo.count(v) for v in range(n)]
             want = {(L, r) for L, r in brute_length_sums(AbelianGroup((n,)), [(v,) for v in combo]) if L <= n}
             assert packed_pairs(n, packed) == want
             seen.append(tuple(combo))
 
         total = comb(n + length - 1, length)
-        verify._walk_packed(n, length, (0, total), leaf)
+        assert verify._walk_packed(n, length, (0, total), leaf, _never, 10**9) == (0, total)
         assert seen == sorted(seen) and len(seen) == len(set(seen)) == total
         assert all(list(c) == sorted(c) for c in seen)
 
 
-def _walk_leaves(
-    n: int, length: int, ranks: tuple[int, int], orbit: bool = False, pair_free: bool = False
-) -> list:
+def _walk_leaves(n: int, length: int, ranks: tuple[int, int]) -> list:
     out = []
     verify._walk_packed(
         n,
         length,
         ranks,
-        lambda packed, combo, counts, cover: out.append((tuple(combo), packed, tuple(counts), cover)),
-        orbit,
-        pair_free,
+        lambda packed, combo, counts: out.append((tuple(combo), packed, tuple(counts))),
+        _never,
+        10**9,
     )
     return out
 
@@ -122,7 +120,6 @@ def test_walk_packed_rank_ranges_concatenate():
         total = comb(n + length - 1, length)
         full = _walk_leaves(n, length, (0, total))
         assert [leaf[0] for leaf in full] == list(combinations_with_replacement(range(n), length))
-        assert {leaf[3] for leaf in full} == {1}
         for k in (1, 2, 3, 7, total):
             bounds = [total * i // k for i in range(k + 1)]
             parts = [_walk_leaves(n, length, (a, b)) for a, b in zip(bounds, bounds[1:])]
@@ -132,67 +129,63 @@ def test_walk_packed_rank_ranges_concatenate():
             assert _walk_leaves(n, length, (a, b)) == full[a:b]
 
 
-def _canonical_with_orbit_sizes(n: int, length: int) -> list:
-    """(sequence, orbit size) for each canonical sequence, in lexicographic order.
+def _recorded_walk(family: str, n: int) -> tuple[list, list, tuple[int, int]]:
+    """(settled, walked, (settled count, work)) of the real cut's walk over every rank.
 
-    Independent of the walk: an orbit is the set of distinct sorted images
-    u*S, and its canonical member is what the tests' representative
-    returns for the first member met.  The representative is orbit
-    invariant (see test_groups), so a member of the orbit is canonical,
-    that is mapped to itself, exactly when it is that representative.
+    The cut is also asked on the edge nodes, the prefixes of the first
+    and the last sequence (all 0, all n-1); those it settles are walked
+    on, so only the others are settled prefixes.
     """
-    group = AbelianGroup((n,))
-    unit_list = [u for u in range(1, n + 1) if gcd(u, n) == 1]
-    reps = {}
-    for combo in combinations_with_replacement(range(n), length):
-        orbit = frozenset(tuple(sorted(u * v % n for v in combo)) for u in unit_list)
-        if orbit not in reps:
-            rep = canonical_orbit_representative(group, ZSequence(group, tuple((v,) for v in combo)))
-            reps[orbit] = tuple(g[0] for g in rep)
-            assert reps[orbit] in orbit
-    return sorted((rep, len(orbit)) for orbit, rep in reps.items())
+    length = n if family == "length-n" else 2 * n - 1
+    real = (verify._length_n_cut if family == "length-n" else verify._egz_cut)(n)
+    edges = {(v,) * d for v in (0, n - 1) for d in range(1, length)}
+    settled, walked = [], []
+
+    def cut(packed, combo, supp, rest):
+        hit = real(packed, combo, supp, rest)
+        if hit and tuple(combo) not in edges:
+            settled.append((tuple(combo), rest))
+        return hit
+
+    result = verify._walk_packed(
+        n,
+        length,
+        (0, comb(n + length - 1, length)),
+        lambda packed, combo, counts: walked.append(tuple(combo)),
+        cut,
+        10**9,
+    )
+    return settled, walked, result
 
 
-def test_prefix_rules_compare_the_longest_final_prefix():
-    # the rule for (unit u, last value v) compares every image count that
-    # is already final, and no other: c'[i] = c[u^-1 i] for the longest run
-    # of indices whose preimages are all below v
-    def cols(getter):
-        got = getter(list(range(n)))
-        return got if isinstance(got, tuple) else (got,)
-
-    for n in range(1, 13):
-        full, rules, phi = verify._prefix_rules(verify._symmetry(n, True))
-        unit_list = [u for u in range(2, n) if gcd(u, n) == 1]
-        assert phi == max(1, len(unit_list) + 1) and len(full) == len(unit_list)
-        for j, u in enumerate(unit_list):
-            p = [pow(u, -1, n) * i % n for i in range(n)]
-            assert cols(full[j]) == tuple(p)
-            for v in range(n):
-                k = 0
-                while p[k] < v:
-                    k += 1
-                image, ident, cut = rules[v][j]
-                assert cols(image) == tuple(p[: max(k, 1)])
-                assert cols(ident) == tuple(range(max(k, 1)))
-                assert cut == (k if p[k] == v and k < v else v)
+@pytest.mark.parametrize(
+    "family, n", [("length-n", n) for n in range(2, 11)] + [("egz", n) for n in range(2, 8)]
+)
+def test_settled_prefixes_replay_the_cut_argument(family, n):
+    # the bound itself is pinned here: a looser cut (m_p <= n - 2, or the
+    # support bound one higher) settles a prefix this replay refuses,
+    # whether or not the reports would show it
+    length = n if family == "length-n" else 2 * n - 1
+    settled, walked, (count, _) = _recorded_walk(family, n)
+    assert count == sum(comb(n - p[-1] + rest - 1, rest) for p, rest in settled)
+    replay_settled_walk(n, length, settled, walked, family == "egz")
 
 
-def test_walk_packed_orbit_mode_visits_exactly_the_canonical_sequences():
-    shapes = [(n, n) for n in range(2, 11)] + [(n, 2 * n - 1) for n in range(2, 7)]
-    for n, length in shapes:
-        want = _canonical_with_orbit_sizes(n, length)
-        total = comb(n + length - 1, length)
-        full = _walk_leaves(n, length, (0, total), orbit=True)
-        assert [(leaf[0], leaf[3]) for leaf in full] == want, (n, length)
-        # the packed sums and counts are those of the raw walk's leaf
-        raw = {leaf[0]: leaf for leaf in _walk_leaves(n, length, (0, total))}
-        assert all(leaf[:3] == raw[leaf[0]][:3] for leaf in full)
-        assert sum(size for _, size in want) == total
-        for k in (1, 2, 3, 7):
-            bounds = [total * i // k for i in range(k + 1)]
-            parts = [_walk_leaves(n, length, (a, b), orbit=True) for a, b in zip(bounds, bounds[1:])]
-            assert [leaf for p in parts for leaf in p] == full, (n, length, k)
+def test_work_is_the_same_for_every_cut_of_the_ranks():
+    # the budget must refuse a scan or not whatever the shard count, so
+    # every cut of the ranks adds up to the one-range work and result
+    rng = random.Random(5)
+    for family, orders in (("length-n", range(2, 13)), ("egz", range(2, 7))):
+        worker = verify._scan_length_n if family == "length-n" else verify._scan_egz
+        for n in orders:
+            length = n if family == "length-n" else 2 * n - 1
+            space = comb(n + length - 1, length)
+            whole = worker((n, (0, space), 10**9))
+            for k in (2, 3, 7, verify.POOL_CHUNKS, 100):
+                cuts = sorted(rng.sample(range(1, space), min(k - 1, space - 1)))
+                bounds = [0, *cuts, space]
+                parts = [worker((n, (a, b), 10**9)) for a, b in zip(bounds, bounds[1:])]
+                assert verify._merge_scans(parts) == whole, (family, n, k)
 
 
 def test_scan_cache_ignores_shard_count(monkeypatch):
@@ -224,26 +217,24 @@ def test_pool_threshold_picks_chunks(monkeypatch):
     real = verify._run_workers
 
     def recording(worker, arg_list, workers):
-        # each argument is (n, rank range, orbit flag, pair_free)
+        # each argument is (n, rank range, budget)
         calls.append((worker.__name__, [a[1] for a in arg_list], workers))
         return real(worker, arg_list, workers)
 
     monkeypatch.setattr(verify, "_run_workers", recording)
-    # the default keeps every small scan in one chunk, whatever shards says;
-    # the length-n scan walks only the zero-free ranks, from C(2n-2, n-1)
-    verify.verify_thm_main(9, shards=4)
+    # below its family's POOL_MIN_ORDER a scan is one chunk over every
+    # rank, whatever shards says
+    assert verify.POOL_MIN_ORDER["length-n"] > 12 and verify.POOL_MIN_ORDER["egz"] > 6
+    verify.verify_thm_main(12, shards=4)
     verify.verify_egz(6, shards=4)
     assert calls == [
-        ("_scan_length_n", [(comb(16, 8), comb(17, 9))], 4),
+        ("_scan_length_n", [(0, comb(23, 12))], 4),
         ("_scan_egz", [(0, comb(16, 5))], 4),
     ]
-    # from the threshold up, counted in the leaves the walk will reach (33
-    # pair-free unit orbits at n = 7, 22 at n = 6, and 44 pair-free
-    # multisets at n = 6 raw), a walk with 2+ shards is cut into
-    # POOL_CHUNKS near-equal contiguous rank ranges over its zero-free
-    # ranks; the cut is the same for every shard count, which sets only
-    # the worker count, and one shard keeps one range
-    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", 33)
+    # from it up, a walk with 2+ shards is cut into POOL_CHUNKS near-equal
+    # contiguous rank ranges; the cut is the same for every shard count,
+    # which sets only the worker count, and one shard keeps one range
+    monkeypatch.setitem(verify.POOL_MIN_ORDER, "length-n", 7)
     cuts = {}
     for shards in (1, 2, 4, 8):
         verify.clear_caches()
@@ -251,10 +242,10 @@ def test_pool_threshold_picks_chunks(monkeypatch):
         verify.verify_thm_main(7, shards=shards)
         [(name, cuts[shards], workers)] = calls
         assert (name, workers) == ("_scan_length_n", shards)
-    assert cuts[1] == [(924, 1716)]
+    assert cuts[1] == [(0, 1716)]
     ranges = cuts[2]
     assert len(ranges) == verify.POOL_CHUNKS
-    assert ranges[0][0] == 924 and ranges[-1][1] == 1716
+    assert ranges[0][0] == 0 and ranges[-1][1] == 1716
     assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
     sizes = {b - a for a, b in ranges}
     assert min(sizes) > 0 and max(sizes) - min(sizes) <= 1
@@ -262,155 +253,128 @@ def test_pool_threshold_picks_chunks(monkeypatch):
     verify.clear_caches()
     calls.clear()
     verify.verify_thm_main(6, shards=2)
-    verify.verify_thm_main(6, orbit_reduced=False, shards=2)
-    assert calls[0][1] == [(252, 462)]
-    assert len(calls[1][1]) == verify.POOL_CHUNKS
-    assert calls[1][1][0][0] == 252 and calls[1][1][-1][1] == 462
+    assert calls == [("_scan_length_n", [(0, 462)], 2)]
 
 
 def test_zero_block_equals_the_walk_over_its_ranks():
-    # the old walk over the multisets that contain 0 is the oracle
+    # the multisets that contain 0 are the first C(2n-2, n-1) ranks; each
+    # has m = 1, so s = n-1, every law holds, and the support bound is
+    # tight only on {0, 1, ..., n-1}.  The cut must settle them into
+    # exactly the closed form the scan once used for this block
     for n in range(1, 11):
-        for orbit in (True, False):
-            walked = verify._scan_length_n((n, (0, comb(2 * n - 2, n - 1)), orbit, False))
-            assert verify._zero_block(n, orbit) == walked, (n, orbit)
+        size = comb(2 * n - 2, n - 1)
+        walked = verify._scan_length_n((n, (0, size), 10**9))
+        assert walked.pop("work") <= size
+        assert walked == {
+            "instances": size,
+            "slice_nm1": 0,
+            "slice_nm2": size if n == 3 else 0,
+            "full_instances": 1 if n == 1 else 0,
+            "full_witnesses": [[0]] if n == 1 else [],
+            "realized": {n - 1: 1},
+            "first_tight": {n - 1: list(range(n))},
+            "totals": {},
+            "rows": [],
+        }, n
 
 
-def test_zero_block_orbit_count_matches_brute_force():
-    for n in range(1, 8):
-        group = AbelianGroup((n,))
-        reps = set()
-        for rest in combinations_with_replacement(range(n), n - 1):
-            seq = ZSequence(group, tuple((v,) for v in (0,) + rest))
-            reps.add(canonical_orbit_representative(group, seq).entries)
-        assert verify._zero_block(n, True)["canonical"] == len(reps), n
+def test_cut_walk_equals_the_unpruned_walk(monkeypatch):
+    # the walk that settles nothing evaluates every leaf: it is the oracle
+    for family, orders in (("length-n", range(1, 11)), ("egz", range(1, 7))):
+        worker = verify._scan_length_n if family == "length-n" else verify._scan_egz
+        for n in orders:
+            length = n if family == "length-n" else 2 * n - 1
+            space = comb(n + length - 1, length)
+            cut = worker((n, (0, space), 10**9))
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_length_n_cut" if family == "length-n" else "_egz_cut", lambda n: _never)
+                full = worker((n, (0, space), 10**9))
+            assert full.pop("work") == space
+            assert cut.pop("work") <= space
+            assert cut == full, (family, n)
 
 
-def test_pair_block_and_pair_free_walk_equal_the_unpruned_walk():
-    # the walk over every zero-free rank is the oracle
-    for n in range(5, 11):
-        ranks = (comb(2 * n - 2, n - 1), comb(2 * n - 1, n))
-        for orbit in (True, False):
-            full = verify._scan_length_n((n, ranks, orbit, False))
-            pruned = verify._scan_length_n((n, ranks, orbit, True))
-            assert verify._merge_scans([verify._pair_block(n, orbit), pruned]) == full, (n, orbit)
+def test_extremal_structure_runs_past_the_raw_space_cap():
+    # C(39, 20) = 68,923,264,410 raw multisets at n = 20 and C(28, 9) =
+    # 6,906,900 of length 19 over Z_10: the cut settles nearly all of
+    # them, so each scan takes well under 5 s on one worker (about 0.3 s
+    # and 0.6 s on 2 CPUs); a cut that stops firing fails here.  The
+    # tight supports are the paper's: phi(20) = 8 for s = 0 and 1
+    t0 = time.perf_counter()
+    r = verify.verify_extremal_structure(20)
+    assert time.perf_counter() - t0 < 5
+    assert r.passed and r.instances_checked == r.details["canonical_instances"] == comb(39, 20)
+    assert r.details["realized_s"] == {"0": 8, "1": 8, "18": 19, "19": 1}
+    t0 = time.perf_counter()
+    egz = verify.verify_egz(10)
+    assert time.perf_counter() - t0 < 5
+    assert egz.passed and egz.instances_checked == comb(28, 9)
 
 
-def test_pair_free_walk_is_the_filtered_walk():
-    # every rank range of the pair-free walk replays the full walk's leaves
-    # in which no two entries sum to 0, covers and packed sums included
-    for n, length in ((4, 4), (5, 5), (6, 6), (4, 7), (7, 7)):
-        total = comb(n + length - 1, length)
-        for orbit in (False, True):
-            full = [
-                leaf
-                for leaf in _walk_leaves(n, length, (0, total), orbit)
-                if all((a + b) % n for a, b in combinations(leaf[0], 2))
-            ]
-            for k in (1, 2, 3, 7):
-                bounds = [total * i // k for i in range(k + 1)]
-                parts = [_walk_leaves(n, length, (a, b), orbit, True) for a, b in zip(bounds, bounds[1:])]
-                assert [leaf for p in parts for leaf in p] == full, (n, length, orbit, k)
+@pytest.mark.parametrize("part", ["_zero_block", "_scan_length_n", "walked_leaf"])
+def test_length_n_reconciliation_catches_a_lost_cover(monkeypatch, part):
+    # walked and settled leaves must add up to C(2n-1, n) = 462 at n = 6.
+    # _zero_block: the walk skips rank C(10, 5) - 1, the last multiset
+    # that contains 0, which the cut settles with the prefix (0,);
+    # walked_leaf: it skips rank C(10, 5), 1^6, whose only zero sum is the
+    # whole sequence, so the walk reaches it as a leaf; _scan_length_n:
+    # the scan counts one instance too few
+    if part == "_scan_length_n":
+        real_scan = verify._scan_length_n
+
+        def short(args):
+            out = real_scan(args)
+            out["instances"] -= 1
+            return out
+
+        monkeypatch.setattr(verify, "_scan_length_n", short)
+    else:
+        lost = comb(10, 5) - (part == "_zero_block")
+        assert verify._unrank(6, 6, lost) == ([0] + [5] * 5 if part == "_zero_block" else [1] * 6)
+        # 1^6 is walked, not settled: its own scan evaluates it as a full instance
+        assert verify._scan_length_n((6, (lost, lost + 1), 10**9))["full_instances"] == (part == "walked_leaf")
+        real_walk = verify._walk_packed
+
+        def skip(n, length, ranks, leaf, cut, cap):
+            start, stop = ranks
+            if not start <= lost < stop:
+                return real_walk(n, length, ranks, leaf, cut, cap)
+            below = real_walk(n, length, (start, lost), leaf, cut, cap)
+            above = real_walk(n, length, (lost + 1, stop), leaf, cut, cap)
+            return below[0] + above[0], below[1] + above[1]
+
+        monkeypatch.setattr(verify, "_walk_packed", skip)
+    with pytest.raises(RuntimeError, match="covered 461 of 462"):
+        verify.verify_thm_main(6)
 
 
-def test_zero_free_and_pair_free_counts_match_brute_force():
-    for n in range(1, 10):
-        group = AbelianGroup((n,))
-        zero_free, pair_free = set(), set()
-        raw = 0
-        for combo in combinations_with_replacement(range(1, n), n):
-            rep = canonical_orbit_representative(group, ZSequence(group, tuple((v,) for v in combo))).entries
-            zero_free.add(rep)
-            if all((a + b) % n for a, b in combinations(combo, 2)):
-                raw += 1
-                pair_free.add(rep)
-        assert verify._multisets(n, n, "zero-free", True) == len(zero_free), n
-        assert verify._multisets(n, n, "pair-free", False) == raw, n
-        assert verify._multisets(n, n, "pair-free", True) == len(pair_free), n
-
-
-@pytest.mark.parametrize("orbit,message", [(True, "reached 21 of 22"), (False, "reached 43 of 44")])
-def test_length_n_walk_check_catches_a_lost_canonical_leaf(monkeypatch, orbit, message):
-    # the covers still add up, but the walk reached one leaf too few
-    real = verify._scan_length_n
-
-    def short(args):
-        out = real(args)
-        out["canonical"] -= 1
-        return out
-
-    monkeypatch.setattr(verify, "_scan_length_n", short)
-    with pytest.raises(RuntimeError, match=message):
-        verify.verify_thm_main(6, orbit_reduced=orbit)
-
-
-def test_symmetry_is_one_tuple_per_scan_with_the_identity_first():
-    for n in range(1, 13):
-        assert verify._symmetry(n, False) == (tuple(range(n)),)
-        perms = verify._symmetry(n, True)
-        assert perms is verify._symmetry(n, True)
-        assert perms[0] == tuple(range(n))
-        assert all(p[0] == 0 for p in perms)
-        # p is the count permutation of u: (u*S) has c[p[i]] copies of i
-        unit_list = [u for u in range(1, n + 1) if gcd(u, n) == 1]
-        assert sorted(perms) == sorted(tuple(pow(u, -1, n) * i % n for i in range(n)) for u in unit_list)
-        # the raw walk compares nothing
-        full, rules, order = verify._prefix_rules(verify._symmetry(n, False))
-        assert (full, order) == ([], 1) and rules == [[] for _ in range(n)]
-
-
-@pytest.mark.parametrize("orbit,message", [(True, "reached 183 of 184"), (False, "reached 714 of 715")])
-def test_egz_walk_check_catches_a_lost_canonical_leaf(monkeypatch, orbit, message):
-    # the covers still add up, but the walk reached one leaf too few
+def test_egz_reconciliation_catches_a_lost_cover(monkeypatch):
+    # walked and settled leaves must add up to C(3n-2, n-1)
     real = verify._scan_egz
 
     def short(args):
         out = real(args)
-        out["canonical"] -= 1
-        return out
-
-    monkeypatch.setattr(verify, "_scan_egz", short)
-    with pytest.raises(RuntimeError, match=message):
-        verify.verify_egz(5, orbit_reduced=orbit)
-
-
-def test_extremal_structure_runs_past_the_raw_space_cap():
-    # n = 14 has C(27, 14) = 20,058,300 raw multisets but walks 85,230
-    # unit orbits, so the leaf budget admits it; the counts come from the
-    # tests' own Burnside count and the paper's tight supports
-    r = verify.verify_extremal_structure(14)
-    assert r.passed and r.instances_checked == comb(27, 14)
-    assert r.details["canonical_instances"] == burnside_orbit_count(14) == 3_344_048
-    assert r.details["realized_s"] == {"0": 6, "1": 6, "12": 13, "13": 1}
-
-
-@pytest.mark.parametrize("part", ["_zero_block", "_scan_length_n"])
-def test_length_n_reconciliation_catches_a_lost_cover(monkeypatch, part):
-    # the closed-form block and the walked covers must add up to C(2n-1, n)
-    real = getattr(verify, part)
-
-    def short(*args):
-        out = real(*args)
         out["instances"] -= 1
         return out
 
-    monkeypatch.setattr(verify, part, short)
-    with pytest.raises(RuntimeError, match="covered 461 of 462"):
-        verify.verify_thm_main(6)
+    monkeypatch.setattr(verify, "_scan_egz", short)
+    with pytest.raises(RuntimeError, match="covered 714 of 715"):
+        verify.verify_egz(5)
 
 
 def test_import_and_small_scans_skip_pool_machinery():
     # a fresh interpreter: importing zerosum, and CLI runs whose scans all
     # stay in process, never load concurrent.futures; a pooled scan does.
-    # The orbit-reduced n = 12 walk reaches 12,380 leaves and stays in
-    # process; the EGZ walk at n = 8 reaches 44,220 leaves and pools
+    # Each family's scans pool from its POOL_MIN_ORDER up
+    top = verify.POOL_MIN_ORDER
     code = (
         "import contextlib, io, sys\n"
         "from zerosum import cli\n"
         "loaded = ['concurrent.futures' in sys.modules]\n"
-        "for argv in (['verify', 'all', '--n-max', '6', '--shards', '2'],\n"
-        "             ['verify', 'support-bound', '--n', '12', '--shards', '2'],\n"
-        "             ['verify', 'egz', '--n', '8', '--shards', '2']):\n"
+        "for argv in (['verify', 'all', '--n-max', '8', '--shards', '2'],\n"
+        f"             ['verify', 'egz', '--n', '{top['egz'] - 1}', '--shards', '2'],\n"
+        f"             ['verify', 'support-bound', '--n', '{top['length-n'] - 1}', '--shards', '2'],\n"
+        f"             ['verify', 'support-bound', '--n', '{top['length-n']}', '--shards', '2']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "    loaded.append('concurrent.futures' in sys.modules)\n"
@@ -421,14 +385,14 @@ def test_import_and_small_scans_skip_pool_machinery():
         [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False, True]"
+    assert proc.stdout.strip() == "[False, False, False, False, True]"
 
 
 def test_full_length_constant_frozen_n6():
     r = verify.verify_prop_all_equal(6)
     assert r.passed
     assert r.details["matching_instances"] == 2
-    assert r.details["witnesses"] == [[1, 1, 1, 1, 1, 1]]
+    assert r.details["witnesses"] == [[1, 1, 1, 1, 1, 1], [5, 5, 5, 5, 5, 5]]
 
 
 def test_extremal_structure_frozen_n6():
@@ -545,25 +509,36 @@ def test_davenport_table_cap():
         verify.verify_davenport_table(17)
 
 
-def test_budget_refuses_oversized_scan():
+def test_budget_refuses_oversized_scan(monkeypatch):
+    # counted as the walk runs: n = 30 does about 5.4 million units of work,
+    # and is refused once it passes 100,000
+    with pytest.raises(BudgetExceededError, match="over budget 100000$"):
+        verify.verify_thm_main(30, budget=10**5)
+    # the budget bounds the leaves walked plus the subtrees settled: 121
+    # at n = 6, and 59 for EGZ at n = 4 (length 7)
+    with pytest.raises(BudgetExceededError, match="length-6 scan over Z_6, .*: over budget 120$"):
+        verify.verify_thm_main(6, budget=120)
+    assert verify.verify_thm_main(6, budget=121).passed
+    assert verify.verify_egz(4, budget=59).passed
+    # a budget below the work refuses the scan even once it is cached
     with pytest.raises(BudgetExceededError):
-        verify.verify_thm_main(30)
-    # the budget bounds the leaves walked: 22 pair-free unit orbits at
-    # n = 6, and 70 unit orbits of length 7 over Z_4 for EGZ
-    with pytest.raises(BudgetExceededError, match="22 exceeds budget 21"):
-        verify.verify_thm_main(6, budget=21)
-    assert verify.verify_thm_main(6, budget=22).passed
-    assert verify.verify_egz(4, budget=70).passed
-    # a budget below the leaves walked refuses the scan even once it is cached
+        verify.verify_thm_main(6, budget=120)
     with pytest.raises(BudgetExceededError):
-        verify.verify_thm_main(6, budget=21)
-    with pytest.raises(BudgetExceededError):
-        verify.verify_egz(4, budget=69)
+        verify.verify_egz(4, budget=58)
+    # and whatever the shard count: n = 8 does 632 units in one chunk or
+    # in POOL_CHUNKS; a budget of 10 stops a chunk inside its worker
+    monkeypatch.setitem(verify.POOL_MIN_ORDER, "length-n", 0)
+    for shards in (1, 2):
+        verify.clear_caches()
+        for budget in (10, 631):
+            with pytest.raises(BudgetExceededError, match=f"over budget {budget}$"):
+                verify.verify_thm_main(8, shards=shards, budget=budget)
+        assert verify.verify_thm_main(8, shards=shards, budget=632).passed
 
 
 def test_budget_refuses_huge_orders_before_counting():
-    # a lower bound on the leaves refuses at once; the message shows no
-    # number past the int-to-str digit limit
+    # a lower bound on the work refuses at once, before the masks are
+    # built; the message shows no number past the int-to-str digit limit
     for run in (verify.verify_thm_main, verify.verify_egz):
         with pytest.raises(BudgetExceededError, match="over budget 10000000$"):
             run(10**5)
@@ -614,7 +589,7 @@ def test_reports_serialize_to_canonical_json():
 
 def test_shard_counts_agree_byte_for_byte(monkeypatch):
     # threshold 0: the small Z_n scans still go through worker processes
-    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", 0)
+    monkeypatch.setattr(verify, "POOL_MIN_ORDER", {"length-n": 0, "egz": 0})
     pooled = []
     real = verify._run_workers
 
@@ -646,11 +621,25 @@ def test_shard_counts_agree_byte_for_byte(monkeypatch):
 
 
 def test_orbit_toggle_does_not_change_findings():
-    for n in (4, 6, 7):
-        on = verify.verify_thm_main(n, orbit_reduced=True)
-        off = verify.verify_thm_main(n, orbit_reduced=False)
-        assert on.details["slices"] == off.details["slices"]
-        assert on.violations == off.violations == []
+    # orbit reduction is gone: the keyword stays, defaults to False, and
+    # True is refused by every scan over Z_n, before any scan runs
+    for check in (
+        verify.verify_thm_main,
+        verify.verify_prop_all_equal,
+        verify.verify_extremal_structure,
+        verify.verify_corollary_short_zero_sum,
+        verify.verify_egz,
+    ):
+        assert inspect.signature(check).parameters["orbit_reduced"].default is False
+        with pytest.raises(DomainError, match="orbit reduction is gone"):
+            check(4, orbit_reduced=True)
+    for run in (
+        lambda: verify.verify_all(6, orbit_reduced=True),
+        lambda: verify.verify_statement("egz", 6, orbit_reduced=True),
+    ):
+        with pytest.raises(DomainError, match="orbit reduction is gone"):
+            run()
+    assert verify._scan_cache == {}
 
 
 def test_fault_injection_surfaces_violations(monkeypatch):
@@ -680,8 +669,8 @@ def test_fault_injection_is_isolated_by_cache_clear():
 
 def test_violation_rows_sorted_and_truncated(monkeypatch):
     # force every walked instance to look wrong so truncation kicks in;
-    # n = 9 walks 336 leaves, more than 2 * VIOLATION_LIMIT, so the scan
-    # trims its rows too
+    # with no zero-sum seen nothing settles, so n = 9 walks all 24,310
+    # leaves, more than 2 * VIOLATION_LIMIT, and the scan trims its rows too
     monkeypatch.setattr(verify, "_leaf_min_zero_length", lambda by_len, limit: None)
     verify.clear_caches()
     r = verify.verify_corollary_short_zero_sum(9)
@@ -777,14 +766,36 @@ LENGTH_N_LAWS = {
                 "tight-support-multiplicity",
             },
         ),
-        (8, 5, {"tight-support-range", "tight-support-multiplicity"}),
-        # pair-free leaves at n = 6 have supp <= 3, so the n-2 slice holds
-        (6, 4, {"tight-support-range", "tight-support-multiplicity"}),
+        # m = 5 <= n - 3 lets the cut settle prefixes with supp_p + min(r,
+        # n-1-v) <= 3, but the leaves of support 5 and up are walked
+        (
+            8,
+            5,
+            {
+                "support-bound",
+                "short-zero-sum-bound",
+                "tight-support-range",
+                "tight-support-multiplicity",
+            },
+        ),
+        (
+            6,
+            4,
+            {
+                "support-bound",
+                "min-length-n-minus-2-support",
+                "short-zero-sum-bound",
+                "tight-support-range",
+                "tight-support-multiplicity",
+            },
+        ),
     ],
 )
 def test_each_length_n_law_reports_its_rows(monkeypatch, n, m, laws):
-    # every walked leaf is told its minimal zero-sum length is m
+    # every walked leaf, and every prefix the cut asks about, is told its
+    # minimal zero-sum length is m; with no limit every row is shown
     monkeypatch.setattr(verify, "_leaf_min_zero_length", lambda packed, k: m)
+    monkeypatch.setattr(verify, "VIOLATION_LIMIT", 10**6)
     seen = set()
     for statement in ("support-bound", "full-length-constant", "extremal-structure", "short-zero-sum"):
         (report,) = verify.verify_statement(statement, n, n=n)
@@ -830,7 +841,7 @@ def test_davenport_laws_report_their_rows(monkeypatch):
 def test_faulted_pooled_scans_agree_byte_for_byte(monkeypatch):
     # threshold 0 and a small limit: chunk results carry violation rows,
     # which the merge must add up and trim the same for every worker count
-    monkeypatch.setattr(verify, "POOL_MIN_INSTANCES", 0)
+    monkeypatch.setattr(verify, "POOL_MIN_ORDER", {"length-n": 0, "egz": 0})
     monkeypatch.setattr(verify, "VIOLATION_LIMIT", 3)
     monkeypatch.setattr(verify, "_leaf_min_zero_length", lambda packed, n: n - 1)
     monkeypatch.setattr(sums, "cyclic_rotation_masks", lambda n, blocks: ([0] * n, [0] * n))
@@ -838,8 +849,8 @@ def test_faulted_pooled_scans_agree_byte_for_byte(monkeypatch):
     for shards in (1, 2, 4):
         verify.clear_caches()
         reports = [
-            check(n, orbit_reduced=orbit, shards=shards)
-            for n, orbit in ((7, True), (8, False))
+            check(n, shards=shards)
+            for n in (7, 8)
             for check in (
                 verify.verify_thm_main,
                 verify.verify_extremal_structure,
@@ -898,3 +909,19 @@ def test_checkers_answer_the_benchmark_calls():
     reports = verify.verify_all(8, shards=2)
     assert all(r.passed for r in reports)
     assert [r.statement_id for r in reports][-1] == "davenport-table"
+
+
+def test_benchmark_probes_find_what_they_read():
+    # zsbench's traced probes read two things from verify: its
+    # verify.orbit_speedup.n12 probe looks for the orbit_reduced keyword,
+    # and its verify.canonical_ratio.* metrics read
+    # details["canonical_instances"]; a result line without them carries
+    # a null metric.  The benchmark change of ROADMAP item 4 drops those
+    # probes, and with them the keyword and this test
+    assert "orbit_reduced" in inspect.signature(verify.verify_thm_main).parameters
+    zn = {"support-bound", "full-length-constant", "extremal-structure", "short-zero-sum", "egz"}
+    reports = [r for r in verify.verify_all(8) if r.statement_id in zn]
+    reports += [verify.verify_thm_main(12), verify.verify_egz(7)]
+    assert {r.statement_id for r in reports} == zn
+    for r in reports:
+        assert r.details["canonical_instances"] == r.instances_checked, r.statement_id
