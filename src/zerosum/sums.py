@@ -14,7 +14,7 @@ most L entries), `has_zero_sum_of_size` one per exact length, and
 `davenport` and the zero-sum-free scan in `verify` one sum set per depth
 of their search.
 Only the Z_n scans in `verify` pack several n-bit sets side by side,
-one per exact length, through the rank-1 step cyclic_add_residue.
+one per exact length, rotated under the masks of cyclic_rotation_masks.
 """
 
 from __future__ import annotations
@@ -300,20 +300,18 @@ def has_zero_sum_of_size(seq: ZSequence, size: int) -> bool:
 
 
 def cyclic_rotation_masks(n: int, blocks: int) -> tuple[list[int], list[int]]:
-    """Per-residue masks for cyclic_add_residue over blocks 0..blocks-1.
+    """Per-residue masks for the Z_n scans' step over blocks 0..blocks-1.
 
-    lo[v] keeps the bits >= v of every n-bit block, hi[v] the bits < v.
-    The step never writes above block `blocks`, so a packed int stays
-    within its lowest (blocks + 1) * n bits: lengths past `blocks` are
-    cut off, and every length up to `blocks` is kept exactly.
+    Appending the residue v (0 <= v < n) to packed sums x gives
+    x | ((((x << v) & lo[v]) | ((x >> (n - v)) & hi[v])) << n), a step
+    verify._walk_packed inlines.  lo[v] keeps the bits >= v of every
+    n-bit block, hi[v] the bits < v.  The step never writes above block
+    `blocks`, so a packed int stays within its lowest (blocks + 1) * n
+    bits: lengths past `blocks` are cut off, and every length up to
+    `blocks` is kept exactly.
     """
     masks = [_rotation_masks(n, 1, v, blocks * n) for v in range(n)]
     return [lo for lo, _ in masks], [hi for _, hi in masks]
-
-
-def cyclic_add_residue(x: int, v: int, n: int, lo: list[int], hi: list[int]) -> int:
-    """Packed sums after appending the residue v (0 <= v < n)."""
-    return x | ((((x << v) & lo[v]) | ((x >> (n - v)) & hi[v])) << n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ and both verify_all and the CLI take those ranges from there.
 
 The scans over Z_n (length n, and length 2n-1 for EGZ) walk the
 non-decreasing sequences depth first and carry the subset sums of the
-current prefix in one int, the layout of sums.cyclic_add_residue: bit
+current prefix in one int, the layout of sums.cyclic_rotation_masks: bit
 L*n + r is set when some L entries of the prefix sum to r mod n, so
 block L (bits L*n .. L*n+n-1) is the set of sums of length L, and the
 empty prefix is 1.  Appending the residue v rotates every block by v
@@ -40,15 +40,16 @@ extension, and each later entry adds at most one distinct value.
     leaf, so each leaf below passes.
 Walked plus settled leaves must equal C(n+L-1, L) exactly.
 
-A scan's work is its walked leaves plus its settled subtrees, counted
-as it runs (see _walk_packed) against the budget, which refuses it
-with BudgetExceededError once the work passes.  A scan over Z_n of
-order below POOL_MIN_ORDER for its family, or with one shard, runs in
-the calling process; a larger one is cut into POOL_CHUNKS equal ranges
-of the lexicographic ranks of its sequences (the walk unranks each
-range's first and last sequence), which a pool of `shards` worker
-processes takes one at a time as each frees up.  Workers are pure;
-chunk results merge in rank order by summing counts and keeping the
+A scan's work is its walked leaves plus its settled subtrees, counted as
+it runs (see _walk_packed) against the budget, which refuses it with
+BudgetExceededError once the work passes.  A scan over Z_n of order
+below POOL_MIN_ORDER for its family, or with one shard, runs in the
+calling process as one walk.  A larger one is dealt by the same walk
+stopped at POOL_DEPTH entries (length - 1 if fewer, so that each chunk
+has an entry to walk): each prefix it leaves unsettled there is one
+chunk, and a pool of `shards` worker processes takes the chunks one at a
+time as each frees up.  Workers are pure; chunk results merge in prefix
+order, which is lexicographic order, by summing counts and keeping the
 VIOLATION_LIMIT smallest violation rows of each law, so a report, and
 whether the budget refuses it, are the same for every shard count.  The
 zero-sum-free scan and the Davenport table always run in process: a
@@ -95,13 +96,11 @@ WITNESS_LIMIT = 100
 # and n = 25 3.29 -> 1.93 s; EGZ n = 9 is a wash (0.132 -> 0.145 s) and
 # n = 10 gains 0.472 -> 0.355 s.
 POOL_MIN_ORDER = {"length-n": 22, "egz": 10}
-# A pooled walk is cut into this many equal rank ranges, which the pool
-# deals to its workers as each frees up: the work crowds some ranks, so
-# one equal range per worker left one nearly idle.  Of 16, 32, 64 and
-# 128, timed with two workers on the orbit walks this replaced (length-n
-# n = 14..16 and EGZ n = 9..10, medians of 9 and of 11 fresh runs), 32
-# was the smallest within 10% of the best on every scan.
-POOL_CHUNKS = 32
+# A pooled walk is dealt as one chunk per prefix of this many entries
+# that its walk leaves unsettled.  With two workers on 2 CPUs (medians of
+# 13 fresh runs), depths 1 and 2 tie within 5% and depth 3 is 20-40% slower
+# on length-n n = 22..25; depth 1's largest chunk holds about half the work.
+POOL_DEPTH = 2
 
 
 def _shown(x: int) -> str:
@@ -202,40 +201,21 @@ def _leaf_min_zero_length(packed: int, n: int) -> int | None:
     return ((zeros & -zeros).bit_length() - 1) // n
 
 
-def _unrank(n: int, length: int, rank: int) -> list[int]:
-    """The non-decreasing length-`length` sequence over Z_n at `rank`.
-
-    Ranks count the C(n+length-1, length) sequences in lexicographic
-    order, by the combinatorial number system (Knuth, TAOCP 4A,
-    7.2.1.3): C(n-v-1+rest, rest) sequences continue a prefix with the
-    entry v when `rest` entries follow it.
-    """
-    if not 0 <= rank < comb(n + length - 1, length):
-        raise ValueError(f"rank {rank} out of range for length {length} over Z_{n}")
-    out = []
-    v = 0
-    for rest in range(length - 1, -1, -1):
-        while rank >= (block := comb(n - v - 1 + rest, rest)):
-            rank -= block
-            v += 1
-        out.append(v)
-    return out
-
-
 def _over_budget(n: int, length: int, cap: int) -> BudgetExceededError:
     return BudgetExceededError(
         f"length-{length} scan over Z_{n}, leaves walked plus subtrees settled: over budget {_shown(cap)}"
     )
 
 
-def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, cut, cap: int) -> tuple[int, int]:
+def _walk_packed(n: int, length: int, prefix: tuple, leaf, cut, cap: int, depth: int = 0) -> tuple[int, int]:
     """Call leaf(packed, combo, counts) on each non-decreasing sequence not settled by cut.
 
-    Covers the length-`length` sequences over Z_n whose rank (see
-    _unrank) is in [start, stop), in lexicographic order.  combo is the
-    sequence, counts its count vector, and packed its subset sums in the
-    layout of sums.cyclic_add_residue, cut to lengths 0..n.  All three
-    are only valid during the call.
+    Covers the length-`length` sequences over Z_n that start with prefix,
+    in lexicographic order; a nonzero depth stops it at their prefixes of
+    that many entries.  combo is the sequence, counts its count vector,
+    and packed its subset sums in the layout of
+    sums.cyclic_rotation_masks, cut to lengths 0..n.  All three are only
+    valid during the call.
 
     cut(packed, combo, supp, rest) is asked of each nonempty prefix, the
     whole sequence included, with its supp distinct values and the rest
@@ -243,84 +223,42 @@ def _walk_packed(n: int, length: int, ranks: tuple[int, int], leaf, cut, cap: in
     extension too, and the prefix's C(n-v+rest-1, rest) sequences (v its
     last value) are settled: counted, not visited.
 
-    Only the nodes on the paths to the range's first and last sequence
-    check bounds (`edge`); every subtree between those paths is complete
-    and goes to `rec`, which checks none, so the bounds cost O(n*length)
-    steps per range and nothing per leaf.  Only rec settles a subtree:
-    one cut by the range has no closed-form count.
-
     Returns (settled, work): the sequences settled, and the work, which
-    counts each leaf walked with no settled prefix, and each settled
-    prefix whose parent is not settled.  That prefix is counted by the
-    range that holds its first sequence (v repeated), even when an edge
-    node walks on below it, so the ranges of any cut of the ranks add up
-    to the same work.  BudgetExceededError is raised once the work
-    passes cap.
+    counts each whole sequence walked and each prefix settled.
+    BudgetExceededError is raised once the work passes cap.
     """
-    start, stop = ranks
-    if start >= stop:
-        return 0, 0
-    first = _unrank(n, length, start)
-    final = _unrank(n, length, stop - 1)
     lo_mask, hi_mask = sums.cyclic_rotation_masks(n, n)
     combo: list[int] = []
     counts = [0] * n
-    last = length - 1
+    top = (depth or length) - 1
+    along = len(prefix)
     settled = work = 0
 
-    def rec(lo_v: int, hi_v: int, depth: int, x: int, supp: int, free: bool) -> None:
-        # free: a settled edge node above has counted the work down here.
-        # sums.cyclic_add_residue is inlined: a call per node would add
-        # about 15% to the walk
+    def rec(lo_v: int, at: int, x: int, supp: int) -> None:
+        # combo holds `at` entries; the step of sums.cyclic_rotation_masks
+        # is inlined: a call per node would add about 15% to the walk
         nonlocal settled, work
-        rest = last - depth
-        for v in range(lo_v, hi_v):
+        rest = length - 1 - at
+        # along the prefix, only its own entry
+        for v in range(lo_v, n) if at >= along else (prefix[at],):
             y = x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n)
             grown = supp + (not counts[v])
             combo.append(v)
             counts[v] += 1
             if cut(y, combo, grown, rest):
                 settled += comb(n - v + rest - 1, rest)
-                work += not free
-            elif rest:
-                rec(v, n, depth + 1, y, grown, free)
+                work += 1
+            elif at < top:
+                rec(v, at + 1, y, grown)
             else:
                 leaf(y, combo, counts)
-                work += not free
+                work += not rest
             combo.pop()
             counts[v] -= 1
         if work > cap:
             raise _over_budget(n, length, cap)
 
-    def edge(depth: int, x: int, supp: int, left: bool, right: bool, free: bool) -> None:
-        # combo equals first[:depth] when left, final[:depth] when right
-        nonlocal work
-        lo_v = first[depth] if left else combo[-1]
-        hi_v = final[depth] if right else n - 1
-        if depth == last:
-            rec(lo_v, hi_v + 1, depth, x, supp, free)
-            return
-        for v in range(lo_v, hi_v + 1):
-            on_left = left and v == lo_v
-            on_right = right and v == hi_v
-            if not (on_left or on_right):
-                rec(v, v + 1, depth, x, supp, free)
-                continue
-            y = sums.cyclic_add_residue(x, v, n, lo_mask, hi_mask)
-            grown = supp + (not counts[v])
-            combo.append(v)
-            counts[v] += 1
-            below = free
-            if not free and cut(y, combo, grown, last - depth):
-                # settled, but the range cuts it: walk on, and count it here
-                # when its first sequence is in the range
-                below = True
-                work += not on_left or all(u == v for u in first[depth + 1 :])
-            edge(depth + 1, y, grown, on_left, on_right, below)
-            combo.pop()
-            counts[v] -= 1
-
-    edge(0, 1, 0, True, True, False)
+    rec(0, 0, 1, 0)
     return settled, work
 
 
@@ -372,17 +310,17 @@ def _length_n_cut(n: int):
 
 
 def _scan_length_n(args: tuple) -> dict:
-    """Verify every length-n multiset over Z_n with rank in [start, stop).
+    """Verify every length-n multiset over Z_n that starts with a prefix.
 
     For each walked instance the minimal zero-sum length m and the
     support size are computed (packed cardinality-resolved subset sums),
     and all the length-n statements are evaluated at once; a settled
-    subtree adds to instances alone.  args is (n, (start, stop), cap),
-    passed on to _walk_packed.  Like every scan result it holds its
+    subtree adds to instances alone.  args is (n, prefix, cap), passed
+    on to _walk_packed.  Like every scan result it holds its
     violations as totals (law -> count) and rows, both written by
     _add_violation.
     """
-    n, ranks, cap = args
+    n, prefix, cap = args
     allowed_s = {0, 1, n - 2, n - 1}
     out = {"instances": 0, "work": 0, "slice_nm1": 0, "slice_nm2": 0, "full_instances": 0}
     out.update(full_witnesses=[], realized={}, first_tight={}, totals={}, rows=[])
@@ -435,18 +373,18 @@ def _scan_length_n(args: tuple) -> dict:
                         out, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
                     )
 
-    settled, out["work"] = _walk_packed(n, n, ranks, leaf, _length_n_cut(n), cap)
+    settled, out["work"] = _walk_packed(n, n, prefix, leaf, _length_n_cut(n), cap)
     out["instances"] += settled
     return out
 
 
 def _merge_scans(bundles: list[dict]) -> dict:
-    """Shard results of one Z_n scan, in shard order, as one result.
+    """Chunk results of one Z_n scan, in chunk order, as one result.
 
     Integers add up, and so do the per-key counts in realized and totals;
     violation rows concatenate and are cut by _keep_smallest, other lists
     concatenate up to WITNESS_LIMIT, and first_tight keeps the first
-    shard's witness.
+    chunk's witness.
     """
     out = {}
     for key in bundles[0]:
@@ -460,7 +398,7 @@ def _merge_scans(bundles: list[dict]) -> dict:
             out[key] = [row for part in parts for row in part]
             _keep_smallest(out[key])
         elif key == "first_tight":
-            # later shards are read first, so an earlier shard overwrites them
+            # later chunks are read first, so an earlier chunk overwrites them
             out[key] = {s: w for part in reversed(parts) for s, w in part.items()}
         elif isinstance(parts[0], list):
             out[key] = [w for part in parts for w in part][:WITNESS_LIMIT]
@@ -510,17 +448,20 @@ def _zn_bundle(family: str, n: int, shards: int, cap: int) -> dict:
 
     "length-n" walks the length-n multisets; "egz" walks those of length
     2n-1 after _sharpness_block.  Walked plus settled leaves must cover
-    the raw space exactly, and the work of all chunks together must stay
-    within cap.
+    the raw space exactly, and all the walks' work must stay within cap.
     """
     length = n if family == "length-n" else 2 * n - 1
     space = comb(n + length - 1, length)
     head, worker = ([], _scan_length_n) if family == "length-n" else ([_sharpness_block(n)], _scan_egz)
-    # a pooled walk is cut into POOL_CHUNKS equal rank ranges, any other is one
-    cut = POOL_CHUNKS if shards > 1 and n >= POOL_MIN_ORDER[family] else 1
-    bounds = [space * i // cut for i in range(cut + 1)]
-    chunks = [(n, (a, b), cap) for a, b in zip(bounds, bounds[1:]) if a < b]
-    merged = _merge_scans(head + _run_workers(worker, chunks, shards))
+    prefixes, settled, work = [()], 0, 0
+    if shards > 1 and n >= POOL_MIN_ORDER[family] and length > 1:
+        prefixes = []
+        deal = lambda packed, combo, counts: prefixes.append(tuple(combo))
+        cut = _length_n_cut(n) if family == "length-n" else _egz_cut(n)
+        settled, work = _walk_packed(n, length, (), deal, cut, cap, min(POOL_DEPTH, length - 1))
+    merged = _merge_scans(head + _run_workers(worker, [(n, p, cap) for p in prefixes], shards))
+    merged["instances"] += settled
+    merged["work"] += work
     if merged["instances"] != space:
         raise RuntimeError(f"enumeration covered {merged['instances']} of {space} multisets")
     if merged["work"] > cap:
@@ -777,11 +718,11 @@ def _egz_cut(n: int):
 
 
 def _scan_egz(args: tuple) -> dict:
-    """Check every length 2n-1 multiset over Z_n with rank in [start, stop)
+    """Check every length 2n-1 multiset over Z_n that starts with a prefix
     for n entries summing to zero (bit n*n of the packed sums); a settled
-    subtree passes whole.  args is (n, (start, stop), cap), as for
+    subtree passes whole.  args is (n, prefix, cap), as for
     _scan_length_n."""
-    n, ranks, cap = args
+    n, prefix, cap = args
     out = {"instances": 0, "work": 0, "totals": {}, "rows": []}
     target = n * n
 
@@ -790,7 +731,7 @@ def _scan_egz(args: tuple) -> dict:
         if not packed >> target & 1:
             _add_violation(out, "exact-n-zero-sum", combo, False, True)
 
-    settled, out["work"] = _walk_packed(n, 2 * n - 1, ranks, leaf, _egz_cut(n), cap)
+    settled, out["work"] = _walk_packed(n, 2 * n - 1, prefix, leaf, _egz_cut(n), cap)
     out["instances"] += settled
     return out
 
@@ -925,9 +866,8 @@ def verify_statement(
     """The reports of one STATEMENTS entry over its orders up to n_max,
     or at the single order n.  `shards` and `orbit_reduced` apply to the
     scans over Z_n only, which refuse orbit_reduced=True, but every
-    statement refuses shards < 1.  An
-    n_max below the statement's floor leaves no order to check and
-    raises DomainError."""
+    statement refuses shards < 1.  An n_max below the statement's floor
+    leaves no order to check and raises DomainError."""
     check, floor, cap, _ = STATEMENTS[statement]
     if shards < 1:
         raise DomainError(f"{statement} needs shards >= 1, got {shards}")

@@ -3,12 +3,13 @@
 The oracles deliberately avoid the library's DP machinery: every
 subsequence is enumerated outright, so any agreement with the fast
 paths is meaningful.  packed_pairs only decodes the packed layout of
-the Z_n scans (sums.cyclic_add_residue: bit L*|G| + v), and
+the Z_n scans (sums.cyclic_rotation_masks: bit L*|G| + v), and
 replay_settled_walk checks the prefixes a Z_n walk settled against the
 cut's argument with no `sums` or `verify` code.
 The unit action, its orbit representative, the units of a quadratic
-order, element scaling and orders, and the sequence parser live here
-because only the tests use them.  brute_element_orders
+order, element scaling and orders, the Z_n scans' packed step
+cyclic_add_residue, and the sequence parser live here because only the
+tests use them.  brute_element_orders
 composes each form's powers on their own, as the reference for
 class_group's shared walks, and brute_reduced_forms enumerates reduced
 forms over (a, b) as the reference for quad.reduced_forms' (a, c) walk.
@@ -119,6 +120,12 @@ def brute_length_sums(group: AbelianGroup, entries) -> set[tuple[int, int]]:
 def packed_pairs(order: int, packed: int) -> set[tuple[int, int]]:
     """Decode packed subset sums: bit L*|G| + v becomes the pair (L, v)."""
     return {divmod(bit, order) for bit in range(packed.bit_length()) if packed >> bit & 1}
+
+
+def cyclic_add_residue(x: int, v: int, n: int, lo: list[int], hi: list[int]) -> int:
+    """Packed sums after appending the residue v (0 <= v < n), under the
+    masks of sums.cyclic_rotation_masks."""
+    return x | ((((x << v) & lo[v]) | ((x >> (n - v)) & hi[v])) << n)
 
 
 def _zero_sum_lengths(values: tuple[int, ...], n: int) -> set[int]:

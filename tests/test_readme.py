@@ -46,7 +46,7 @@ def test_readme_limits_match_the_code():
         ("sums", "WITNESS_BIT_CAP"),
         ("sums", "DAVENPORT_ORDER_CAP"),
         ("quad", "CLASS_GROUP_DISC_CAP"),
-        ("verify", "POOL_CHUNKS"),
+        ("verify", "POOL_DEPTH"),
         ("verify", "SCAN_WORK_CAP"),
     }, stated
     for (module, name), value in stated.items():

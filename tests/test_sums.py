@@ -17,6 +17,7 @@ from conftest import (
     brute_length_sums,
     brute_mz,
     brute_sigma,
+    cyclic_add_residue,
     is_zero_sum_free,
     packed_pairs,
     parse_sequence,
@@ -28,7 +29,6 @@ from zerosum.groups import AbelianGroup, ZSequence, element_add
 from zerosum.sums import (
     DENSE_ORDER_CAP,
     INFINITY,
-    cyclic_add_residue,
     cyclic_rotation_masks,
     davenport,
     has_zero_sum_of_size,

@@ -8,7 +8,6 @@ import dataclasses
 import inspect
 import json
 import multiprocessing
-import random
 import subprocess
 import sys
 import time
@@ -69,16 +68,6 @@ def test_instances_counted_in_raw_space_with_and_without_orbit():
             verify.verify_thm_main(n, orbit_reduced=True)
 
 
-def test_unrank_matches_lexicographic_enumeration():
-    for n, length in ((1, 1), (2, 3), (3, 1), (4, 4), (5, 9), (6, 3)):
-        expect = list(combinations_with_replacement(range(n), length))
-        assert len(expect) == comb(n + length - 1, length)
-        assert [tuple(verify._unrank(n, length, r)) for r in range(len(expect))] == expect
-        for bad in (-1, len(expect)):
-            with pytest.raises(ValueError):
-                verify._unrank(n, length, bad)
-
-
 def _never(packed, combo, supp, rest):
     return False
 
@@ -95,65 +84,55 @@ def test_walk_packed_leaves_match_subset_enumeration():
             seen.append(tuple(combo))
 
         total = comb(n + length - 1, length)
-        assert verify._walk_packed(n, length, (0, total), leaf, _never, 10**9) == (0, total)
+        assert verify._walk_packed(n, length, (), leaf, _never, 10**9) == (0, total)
         assert seen == sorted(seen) and len(seen) == len(set(seen)) == total
         assert all(list(c) == sorted(c) for c in seen)
 
 
-def _walk_leaves(n: int, length: int, ranks: tuple[int, int]) -> list:
+def _walk_leaves(n: int, length: int, prefix: tuple, depth: int = 0) -> list:
     out = []
-    verify._walk_packed(
+    result = verify._walk_packed(
         n,
         length,
-        ranks,
+        prefix,
         lambda packed, combo, counts: out.append((tuple(combo), packed, tuple(counts))),
         _never,
         10**9,
+        depth,
     )
+    # with nothing settled, the work is the leaves walked below depth
+    assert result == (0, 0 if depth else len(out))
     return out
 
 
 def test_walk_packed_rank_ranges_concatenate():
-    # split walks must replay the full walk exactly: same leaves in the
-    # same order, with the same packed sums and count vectors
+    # the sequences below a prefix are a range of ranks: the walk stopped
+    # at depth d deals every prefix of d entries in lexicographic order,
+    # and the walks below them replay the full walk exactly: same leaves
+    # in the same order, with the same packed sums and count vectors
     for n, length in ((3, 1), (4, 4), (5, 5), (4, 7), (5, 9)):
-        total = comb(n + length - 1, length)
-        full = _walk_leaves(n, length, (0, total))
+        full = _walk_leaves(n, length, ())
         assert [leaf[0] for leaf in full] == list(combinations_with_replacement(range(n), length))
-        for k in (1, 2, 3, 7, total):
-            bounds = [total * i // k for i in range(k + 1)]
-            parts = [_walk_leaves(n, length, (a, b)) for a, b in zip(bounds, bounds[1:])]
-            assert [len(p) for p in parts] == [b - a for a, b in zip(bounds, bounds[1:])]
-            assert [leaf for p in parts for leaf in p] == full
-        for a, b in ((0, 0), (total, total), (1, total - 1), (total // 3, total // 2), (total - 1, total)):
-            assert _walk_leaves(n, length, (a, b)) == full[a:b]
+        for depth in range(1, min(length, 4)):
+            prefixes = [leaf[0] for leaf in _walk_leaves(n, length, (), depth)]
+            assert prefixes == list(combinations_with_replacement(range(n), depth))
+            assert [leaf for p in prefixes for leaf in _walk_leaves(n, length, p)] == full
 
 
 def _recorded_walk(family: str, n: int) -> tuple[list, list, tuple[int, int]]:
-    """(settled, walked, (settled count, work)) of the real cut's walk over every rank.
-
-    The cut is also asked on the edge nodes, the prefixes of the first
-    and the last sequence (all 0, all n-1); those it settles are walked
-    on, so only the others are settled prefixes.
-    """
+    """(settled, walked, (settled count, work)) of the real cut's walk from the empty prefix."""
     length = n if family == "length-n" else 2 * n - 1
     real = (verify._length_n_cut if family == "length-n" else verify._egz_cut)(n)
-    edges = {(v,) * d for v in (0, n - 1) for d in range(1, length)}
     settled, walked = [], []
 
     def cut(packed, combo, supp, rest):
         hit = real(packed, combo, supp, rest)
-        if hit and tuple(combo) not in edges:
+        if hit:
             settled.append((tuple(combo), rest))
         return hit
 
     result = verify._walk_packed(
-        n,
-        length,
-        (0, comb(n + length - 1, length)),
-        lambda packed, combo, counts: walked.append(tuple(combo)),
-        cut,
-        10**9,
+        n, length, (), lambda packed, combo, counts: walked.append(tuple(combo)), cut, 10**9
     )
     return settled, walked, result
 
@@ -171,21 +150,20 @@ def test_settled_prefixes_replay_the_cut_argument(family, n):
     replay_settled_walk(n, length, settled, walked, family == "egz")
 
 
-def test_work_is_the_same_for_every_cut_of_the_ranks():
+def test_work_is_the_same_for_every_cut_of_the_ranks(monkeypatch):
     # the budget must refuse a scan or not whatever the shard count, so
-    # every cut of the ranks adds up to the one-range work and result
-    rng = random.Random(5)
-    for family, orders in (("length-n", range(2, 13)), ("egz", range(2, 7))):
-        worker = verify._scan_length_n if family == "length-n" else verify._scan_egz
+    # the dealing walk and the chunks below its prefixes add up to the
+    # one-walk work and result at every split depth; a depth of length
+    # or more is clamped to length - 1.  The chunks run in process here
+    monkeypatch.setattr(verify, "POOL_MIN_ORDER", {"length-n": 0, "egz": 0})
+    monkeypatch.setattr(verify, "_run_workers", lambda worker, arg_list, workers: list(map(worker, arg_list)))
+    for family, orders in (("length-n", range(1, 13)), ("egz", range(1, 7))):
         for n in orders:
             length = n if family == "length-n" else 2 * n - 1
-            space = comb(n + length - 1, length)
-            whole = worker((n, (0, space), 10**9))
-            for k in (2, 3, 7, verify.POOL_CHUNKS, 100):
-                cuts = sorted(rng.sample(range(1, space), min(k - 1, space - 1)))
-                bounds = [0, *cuts, space]
-                parts = [worker((n, (a, b), 10**9)) for a, b in zip(bounds, bounds[1:])]
-                assert verify._merge_scans(parts) == whole, (family, n, k)
+            whole = verify._zn_bundle(family, n, 1, 10**9)
+            for depth in range(1, length + 2):
+                monkeypatch.setattr(verify, "POOL_DEPTH", depth)
+                assert verify._zn_bundle(family, n, 2, 10**9) == whole, (family, n, depth)
 
 
 def test_scan_cache_ignores_shard_count(monkeypatch):
@@ -217,53 +195,55 @@ def test_pool_threshold_picks_chunks(monkeypatch):
     real = verify._run_workers
 
     def recording(worker, arg_list, workers):
-        # each argument is (n, rank range, budget)
+        # each argument is (n, prefix, budget)
         calls.append((worker.__name__, [a[1] for a in arg_list], workers))
         return real(worker, arg_list, workers)
 
     monkeypatch.setattr(verify, "_run_workers", recording)
-    # below its family's POOL_MIN_ORDER a scan is one chunk over every
-    # rank, whatever shards says
+    # below its family's POOL_MIN_ORDER a scan is one walk from the empty
+    # prefix, whatever shards says
     assert verify.POOL_MIN_ORDER["length-n"] > 12 and verify.POOL_MIN_ORDER["egz"] > 6
     verify.verify_thm_main(12, shards=4)
     verify.verify_egz(6, shards=4)
-    assert calls == [
-        ("_scan_length_n", [(0, comb(23, 12))], 4),
-        ("_scan_egz", [(0, comb(16, 5))], 4),
-    ]
-    # from it up, a walk with 2+ shards is cut into POOL_CHUNKS near-equal
-    # contiguous rank ranges; the cut is the same for every shard count,
-    # which sets only the worker count, and one shard keeps one range
+    assert calls == [("_scan_length_n", [()], 4), ("_scan_egz", [()], 4)]
+    # from it up, a walk with 2+ shards is dealt: its chunks are the
+    # prefixes of POOL_DEPTH entries that have no settled prefix, in
+    # lexicographic order, the same for every shard count, which sets
+    # only the worker count; one shard keeps one walk
     monkeypatch.setitem(verify.POOL_MIN_ORDER, "length-n", 7)
-    cuts = {}
+    chunks = {}
     for shards in (1, 2, 4, 8):
         verify.clear_caches()
         calls.clear()
         verify.verify_thm_main(7, shards=shards)
-        [(name, cuts[shards], workers)] = calls
+        [(name, chunks[shards], workers)] = calls
         assert (name, workers) == ("_scan_length_n", shards)
-    assert cuts[1] == [(0, 1716)]
-    ranges = cuts[2]
-    assert len(ranges) == verify.POOL_CHUNKS
-    assert ranges[0][0] == 0 and ranges[-1][1] == 1716
-    assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
-    sizes = {b - a for a, b in ranges}
-    assert min(sizes) > 0 and max(sizes) - min(sizes) <= 1
-    assert cuts[4] == cuts[8] == ranges
+    assert chunks[1] == [()]
+    depth = verify.POOL_DEPTH
+    settled = {prefix for prefix, _ in _recorded_walk("length-n", 7)[0]}
+    dealt = [
+        p
+        for p in combinations_with_replacement(range(7), depth)
+        if not any(p[:k] in settled for k in range(1, depth + 1))
+    ]
+    assert 1 < len(dealt) < comb(7 + depth - 1, depth)
+    assert chunks[2] == chunks[4] == chunks[8] == dealt
     verify.clear_caches()
     calls.clear()
     verify.verify_thm_main(6, shards=2)
-    assert calls == [("_scan_length_n", [(0, 462)], 2)]
+    assert calls == [("_scan_length_n", [()], 2)]
 
 
 def test_zero_block_equals_the_walk_over_its_ranks():
-    # the multisets that contain 0 are the first C(2n-2, n-1) ranks; each
-    # has m = 1, so s = n-1, every law holds, and the support bound is
-    # tight only on {0, 1, ..., n-1}.  The cut must settle them into
-    # exactly the closed form the scan once used for this block
+    # the multisets that contain 0 are those below the prefix (0,), the
+    # first C(2n-2, n-1) ranks; each has m = 1, so s = n-1, every law
+    # holds, and the support bound is tight only on {0, 1, ..., n-1}.  The
+    # cut must settle them into exactly the closed form the scan once used
+    # for this block.  At n = 1 the block is the whole space, (0,) alone,
+    # so its walk starts from the empty prefix
     for n in range(1, 11):
         size = comb(2 * n - 2, n - 1)
-        walked = verify._scan_length_n((n, (0, size), 10**9))
+        walked = verify._scan_length_n((n, (0,) if n > 1 else (), 10**9))
         assert walked.pop("work") <= size
         assert walked == {
             "instances": size,
@@ -285,10 +265,10 @@ def test_cut_walk_equals_the_unpruned_walk(monkeypatch):
         for n in orders:
             length = n if family == "length-n" else 2 * n - 1
             space = comb(n + length - 1, length)
-            cut = worker((n, (0, space), 10**9))
+            cut = worker((n, (), 10**9))
             with monkeypatch.context() as m:
                 m.setattr(verify, "_length_n_cut" if family == "length-n" else "_egz_cut", lambda n: _never)
-                full = worker((n, (0, space), 10**9))
+                full = worker((n, (), 10**9))
             assert full.pop("work") == space
             assert cut.pop("work") <= space
             assert cut == full, (family, n)
@@ -314,11 +294,10 @@ def test_extremal_structure_runs_past_the_raw_space_cap():
 @pytest.mark.parametrize("part", ["_zero_block", "_scan_length_n", "walked_leaf"])
 def test_length_n_reconciliation_catches_a_lost_cover(monkeypatch, part):
     # walked and settled leaves must add up to C(2n-1, n) = 462 at n = 6.
-    # _zero_block: the walk skips rank C(10, 5) - 1, the last multiset
-    # that contains 0, which the cut settles with the prefix (0,);
-    # walked_leaf: it skips rank C(10, 5), 1^6, whose only zero sum is the
-    # whole sequence, so the walk reaches it as a leaf; _scan_length_n:
-    # the scan counts one instance too few
+    # _zero_block: the walk skips 0 5^5, the last multiset that contains
+    # 0, which the cut settles with the prefix (0, 5); walked_leaf: it skips
+    # 1^6, whose only zero sum is the whole sequence, so the walk reaches
+    # it as a leaf; _scan_length_n: the scan counts one instance too few
     if part == "_scan_length_n":
         real_scan = verify._scan_length_n
 
@@ -329,19 +308,21 @@ def test_length_n_reconciliation_catches_a_lost_cover(monkeypatch, part):
 
         monkeypatch.setattr(verify, "_scan_length_n", short)
     else:
-        lost = comb(10, 5) - (part == "_zero_block")
-        assert verify._unrank(6, 6, lost) == ([0] + [5] * 5 if part == "_zero_block" else [1] * 6)
-        # 1^6 is walked, not settled: its own scan evaluates it as a full instance
-        assert verify._scan_length_n((6, (lost, lost + 1), 10**9))["full_instances"] == (part == "walked_leaf")
+        lost = [0] + [5] * 5 if part == "_zero_block" else [1] * 6
+        settled, walked, _ = _recorded_walk("length-n", 6)
+        assert ((0, 5), 4) in settled and (1,) * 6 in walked
         real_walk = verify._walk_packed
 
-        def skip(n, length, ranks, leaf, cut, cap):
-            start, stop = ranks
-            if not start <= lost < stop:
-                return real_walk(n, length, ranks, leaf, cut, cap)
-            below = real_walk(n, length, (start, lost), leaf, cut, cap)
-            above = real_walk(n, length, (lost + 1, stop), leaf, cut, cap)
-            return below[0] + above[0], below[1] + above[1]
+        def skip(n, length, prefix, leaf, cut, cap, depth=0):
+            # the prefixes of the lost multiset are walked on, not settled
+            def around(packed, combo, supp, rest):
+                return combo != lost[: len(combo)] and cut(packed, combo, supp, rest)
+
+            def other(packed, combo, counts):
+                if combo != lost:
+                    leaf(packed, combo, counts)
+
+            return real_walk(n, length, prefix, other, around, cap, depth)
 
         monkeypatch.setattr(verify, "_walk_packed", skip)
     with pytest.raises(RuntimeError, match="covered 461 of 462"):
@@ -525,12 +506,14 @@ def test_budget_refuses_oversized_scan(monkeypatch):
         verify.verify_thm_main(6, budget=120)
     with pytest.raises(BudgetExceededError):
         verify.verify_egz(4, budget=58)
-    # and whatever the shard count: n = 8 does 632 units in one chunk or
-    # in POOL_CHUNKS; a budget of 10 stops a chunk inside its worker
+    # and whatever the shard count: n = 8 does 632 units in one walk or
+    # dealt, 11 of them in the dealing walk and at most 228 in a chunk; a
+    # budget of 10 stops the dealing walk, and one of 100 a chunk inside
+    # its worker
     monkeypatch.setitem(verify.POOL_MIN_ORDER, "length-n", 0)
     for shards in (1, 2):
         verify.clear_caches()
-        for budget in (10, 631):
+        for budget in (10, 100, 631):
             with pytest.raises(BudgetExceededError, match=f"over budget {budget}$"):
                 verify.verify_thm_main(8, shards=shards, budget=budget)
         assert verify.verify_thm_main(8, shards=shards, budget=632).passed
@@ -588,13 +571,15 @@ def test_reports_serialize_to_canonical_json():
 
 
 def test_shard_counts_agree_byte_for_byte(monkeypatch):
-    # threshold 0: the small Z_n scans still go through worker processes
+    # threshold 0: the small Z_n scans still go through worker processes;
+    # the orders 1..3 meet the clamp of the split depth to length - 1,
+    # which leaves every chunk an entry to walk
     monkeypatch.setattr(verify, "POOL_MIN_ORDER", {"length-n": 0, "egz": 0})
-    pooled = []
+    pooled = {}
     real = verify._run_workers
 
     def recording(worker, arg_list, workers):
-        pooled.append((worker.__name__, len(arg_list), workers))
+        pooled.setdefault(workers, []).append((worker.__name__, arg_list[0][0], [a[1] for a in arg_list]))
         return real(worker, arg_list, workers)
 
     monkeypatch.setattr(verify, "_run_workers", recording)
@@ -607,17 +592,23 @@ def test_shard_counts_agree_byte_for_byte(monkeypatch):
             verify.verify_egz(5, shards=shards),
             verify.verify_sumset_lemmas(AbelianGroup((8,))),
             verify.verify_davenport_table(8),
+            *(verify.verify_corollary_short_zero_sum(m, shards=shards) for m in (1, 2, 3)),
+            *(verify.verify_egz(m, shards=shards) for m in (2, 3)),
         ]
         outs.append(verify.reports_to_json(reports, include_elapsed=False))
     assert outs[0] == outs[1] == outs[2] == outs[3]
-    # length-n and egz per shard count: one chunk for one shard, else
-    # POOL_CHUNKS for `shards` workers; the zero-sum-free scan and the
-    # Davenport table never start a pool
-    assert pooled == [
-        (name, 1 if k == 1 else verify.POOL_CHUNKS, k)
-        for k in (1, 2, 4, 8)
-        for name in ("_scan_length_n", "_scan_egz")
-    ]
+    # length-n and egz per shard count: one walk from the empty prefix for
+    # one shard, else the same dealt prefixes for `shards` workers; the
+    # zero-sum-free scan and the Davenport table never start a pool
+    scans = [("_scan_length_n", 7), ("_scan_egz", 5)]
+    scans += [("_scan_length_n", m) for m in (1, 2, 3)] + [("_scan_egz", m) for m in (2, 3)]
+    assert pooled[1] == [(name, m, [()]) for name, m in scans]
+    assert pooled[2] == pooled[4] == pooled[8]
+    # each dealt prefix has POOL_DEPTH entries, or length - 1 if fewer:
+    # at order 1 that is the empty prefix, one walk
+    for name, m, prefixes in pooled[2]:
+        length = m if name == "_scan_length_n" else 2 * m - 1
+        assert {len(p) for p in prefixes} == {min(verify.POOL_DEPTH, length - 1)}, (name, m)
 
 
 def test_orbit_toggle_does_not_change_findings():
