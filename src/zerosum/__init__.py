@@ -25,9 +25,8 @@ _EXPORTS = {
     ),
     "quad": (
         "ClassGroup", "QuadIdeal", "QuadOrder", "ShortPrincipalProduct", "class_group",
-        "find_short_principal_product", "ideal_class", "ideal_mul", "ideal_pow",
-        "is_irreducible", "is_principal", "principal_ideal", "reduce_form",
-        "reduced_class_ideal", "reduced_forms",
+        "find_short_principal_product", "ideal_class", "ideal_mul", "is_irreducible",
+        "is_principal", "principal_ideal", "reduce_form", "reduced_forms",
     ),
     "verify": (
         "VerificationReport", "clear_caches", "reports_to_json", "verify_all",

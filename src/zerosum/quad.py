@@ -14,7 +14,6 @@ provably finite boxes (the norm form is positive definite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 from types import MappingProxyType
 
@@ -27,7 +26,7 @@ from .errors import (
     ParseError,
     StructureError,
 )
-from .groups import AbelianGroup, ZSequence, groups_of_order
+from .groups import AbelianGroup, ZSequence, groups_of_order, record
 
 Form = tuple[int, int, int]
 CLASS_GROUP_DISC_CAP = 100_000
@@ -44,7 +43,7 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record()
 class QuadOrder:
     """Maximal order of Q(sqrt(-d)) for squarefree d >= 1."""
 
@@ -128,7 +127,7 @@ def format_element(order: QuadOrder, alpha: Element) -> str:
 # ideals in Hermite normal form
 
 
-@dataclass(frozen=True)
+@record()
 class QuadIdeal:
     """scale * (a*Z + (b + w)*Z) with 0 <= b < a; unique per module."""
 
@@ -234,15 +233,6 @@ def ideal_mul(order: QuadOrder, left: QuadIdeal, right: QuadIdeal) -> QuadIdeal:
     if result.norm != left.norm * right.norm:
         raise StructureError("ideal norm failed to multiply")
     return result
-
-
-def ideal_pow(order: QuadOrder, ideal: QuadIdeal, exponent: int) -> QuadIdeal:
-    if exponent < 0:
-        raise DomainError("negative ideal powers are not integral")
-    out = unit_ideal(order)
-    for _ in range(exponent):
-        out = ideal_mul(order, out, ideal)
-    return out
 
 
 def ideal_contains(order: QuadOrder, ideal: QuadIdeal, alpha: Element) -> bool:
@@ -380,7 +370,7 @@ def reduced_forms(disc: int) -> tuple[Form, ...]:
 # class group
 
 
-@dataclass(frozen=True)
+@record(hidden=("exponents",))
 class ClassGroup:
     """Form-class group of an imaginary quadratic maximal order.
 
@@ -395,7 +385,7 @@ class ClassGroup:
     element_reps: tuple[Form, ...]
     structure: tuple[int, ...]
     generator_index: int | None
-    exponents: MappingProxyType[Form, int] = field(compare=False, repr=False)
+    exponents: MappingProxyType[Form, int]
 
     @property
     def is_cyclic(self) -> bool:
@@ -490,12 +480,6 @@ def ideal_class(cg: ClassGroup, ideal: QuadIdeal) -> int:
     return cg.exponents[target]
 
 
-def reduced_class_ideal(order: QuadOrder, ideal: QuadIdeal) -> QuadIdeal:
-    """Canonical ideal representative of [ideal]: the one attached to the
-    reduced form of its class."""
-    return ideal_of_form(order, reduce_form(form_of_ideal(order, ideal)))
-
-
 # ---------------------------------------------------------------------------
 # norm equations, principality, irreducibility
 
@@ -564,7 +548,7 @@ def is_irreducible(order: QuadOrder, alpha: Element) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record()
 class ShortPrincipalProduct:
     """Witness for the short-principal-product law: which input ideals to
     multiply, the product, and its canonical irreducible generator."""

@@ -20,11 +20,10 @@ one per exact length, rotated under the masks of cyclic_rotation_masks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetExceededError
-from .groups import AbelianGroup, Element, ZSequence, element_add, element_neg
+from .groups import AbelianGroup, Element, ZSequence, element_add, element_neg, record
 
 INFINITY = math.inf
 
@@ -45,7 +44,7 @@ WITNESS_BIT_CAP = 1 << 32
 DAVENPORT_ORDER_CAP = 64
 
 
-@dataclass(frozen=True)
+@record()
 class SumSet:
     """Nonempty subsequence sums of a sequence, with minimal lengths.
 
@@ -75,7 +74,7 @@ class SumSet:
         return len(self.lengths)
 
 
-@dataclass(frozen=True)
+@record()
 class MZResult:
     """Minimal zero-sum length: an int, or INFINITY for zero-sum-free input.
 
@@ -92,7 +91,7 @@ class MZResult:
         return self.value != INFINITY
 
 
-@dataclass(frozen=True)
+@record()
 class DavenportResult:
     """Davenport constant with a maximal zero-sum-free witness sequence."""
 

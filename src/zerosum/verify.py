@@ -70,7 +70,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby, islice
 from math import comb, gcd
@@ -78,7 +77,7 @@ from operator import itemgetter
 
 from . import sums
 from .errors import BudgetExceededError, DomainError
-from .groups import AbelianGroup, ZSequence, element_neg, groups_of_order
+from .groups import AbelianGroup, ZSequence, element_neg, groups_of_order, record
 
 # The most work a scan may do: leaves walked plus subtrees settled for
 # a scan over Z_n (see _walk_packed), multisets for the sum-set scan.
@@ -117,7 +116,7 @@ def _require_budget(count: int, cap: int, what: str) -> None:
         raise BudgetExceededError(f"{what}: {_shown(count)} exceeds budget {_shown(cap)}")
 
 
-@dataclass
+@record(frozen=False, factories={"details": dict})
 class VerificationReport:
     """Outcome of one exhaustive check.
 
@@ -132,7 +131,7 @@ class VerificationReport:
     orbit_reduced: bool
     violations: list[dict]
     violations_total: int
-    details: dict = field(default_factory=dict)
+    details: dict
     elapsed_ms: int = 0
 
     @property

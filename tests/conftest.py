@@ -8,8 +8,8 @@ replay_settled_walk checks the prefixes a Z_n walk settled against the
 cut's argument with no `sums` or `verify` code.
 The unit action, its orbit representative, the units of a quadratic
 order, element scaling and orders, the Z_n scans' packed step
-cyclic_add_residue, and the sequence parser live here because only the
-tests use them.  brute_element_orders
+cyclic_add_residue, the sequence parser, ideal powers and the reduced
+ideal of a class live here because only the tests use them.  brute_element_orders
 composes each form's powers on their own, as the reference for
 class_group's shared walks, and brute_reduced_forms enumerates reduced
 forms over (a, b) as the reference for quad.reduced_forms' (a, c) walk.
@@ -22,7 +22,7 @@ from math import comb, gcd, isqrt, lcm
 from operator import add, mod
 
 from zerosum import quad
-from zerosum.errors import InvalidElementError
+from zerosum.errors import DomainError, InvalidElementError
 from zerosum.groups import AbelianGroup, Element, ZSequence, parse_entries, units
 
 
@@ -242,6 +242,21 @@ def associates(order: quad.QuadOrder, alpha: quad.Element) -> tuple[quad.Element
 def principal_class(cg: quad.ClassGroup) -> quad.Form:
     """The reduced principal form, the identity of the class group."""
     return quad.reduce_form(quad.principal_form(cg.base.discriminant))
+
+
+def ideal_pow(order: quad.QuadOrder, ideal: quad.QuadIdeal, exponent: int) -> quad.QuadIdeal:
+    if exponent < 0:
+        raise DomainError("negative ideal powers are not integral")
+    out = quad.unit_ideal(order)
+    for _ in range(exponent):
+        out = quad.ideal_mul(order, out, ideal)
+    return out
+
+
+def reduced_class_ideal(order: quad.QuadOrder, ideal: quad.QuadIdeal) -> quad.QuadIdeal:
+    """Canonical ideal representative of [ideal]: the one attached to the
+    reduced form of its class."""
+    return quad.ideal_of_form(order, quad.reduce_form(quad.form_of_ideal(order, ideal)))
 
 
 def brute_element_orders(forms: tuple[quad.Form, ...], ident: quad.Form) -> list[int]:

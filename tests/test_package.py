@@ -1,5 +1,6 @@
 """The package surface: every public name is importable from `zerosum`,
-and each entry point loads only the submodules it runs."""
+each entry point loads only the submodules it runs, and the record
+classes behave as the dataclasses they replaced did."""
 
 from __future__ import annotations
 
@@ -7,11 +8,13 @@ import importlib
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 import zerosum
-from zerosum import cli, verify
+from zerosum import cli, groups, quad, sums, verify
+from zerosum.errors import DomainError, InvalidIdealError
 
 # the public names of `zerosum`, by the submodule that defines each
 PUBLIC = {
@@ -29,9 +32,8 @@ PUBLIC = {
     ],
     "quad": [
         "ClassGroup", "QuadIdeal", "QuadOrder", "ShortPrincipalProduct", "class_group",
-        "find_short_principal_product", "ideal_class", "ideal_mul", "ideal_pow",
-        "is_irreducible", "is_principal", "principal_ideal", "reduce_form",
-        "reduced_class_ideal", "reduced_forms",
+        "find_short_principal_product", "ideal_class", "ideal_mul", "is_irreducible",
+        "is_principal", "principal_ideal", "reduce_form", "reduced_forms",
     ],
     "verify": [
         "VerificationReport", "clear_caches", "reports_to_json", "verify_all",
@@ -44,7 +46,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 53
+    assert len(NAMES) == 51
     assert sorted(zerosum.__all__) == NAMES
 
 
@@ -72,8 +74,13 @@ def test_cli_statement_ids_are_verify_statements():
     assert cli.VERIFY_STATEMENTS == ("all", *verify.STATEMENTS)
 
 
-def _loaded_submodules(code: str) -> set[str]:
-    code += "\nprint(' '.join(m for m in sys.modules if m.startswith('zerosum.')))\n"
+def _loaded_modules(code: str) -> set[str]:
+    """The zerosum submodules a fresh interpreter running code loads, and
+    dataclasses and inspect if it loads them."""
+    code += (
+        "\nprint(' '.join(m for m in sys.modules"
+        " if m.startswith('zerosum.') or m in ('dataclasses', 'inspect')))\n"
+    )
     src = str(Path(zerosum.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120
@@ -105,10 +112,161 @@ def _cli_code(*argv: str) -> str:
             _cli_code("quad-demo51", "-d", "26", "--ideals", "5,2;5,2;5,2;2,0;3,1;3,1"),
             {"cli", "errors", "groups", "sums", "quad"},
         ),
+        (_cli_code("quad-class-group", "-d", "26"), {"cli", "errors", "groups", "sums", "quad"}),
     ],
-    ids=["import", "from-import-mz", "cli-mz", "cli-verify-all", "cli-quad-demo51"],
+    ids=["import", "from-import-mz", "cli-mz", "cli-verify-all", "cli-quad-demo51", "cli-quad-class-group"],
 )
 def test_each_entry_point_loads_only_its_submodules(code, loaded):
     # a fresh interpreter per case: `import zerosum` loads no submodule,
-    # the CLI's mz needs no verify or quad, verify no quad, quad no verify
-    assert _loaded_submodules(code) == {f"zerosum.{m}" for m in loaded}
+    # the CLI's mz needs no verify or quad, verify no quad, quad no verify;
+    # and none loads dataclasses or inspect, a large share of start-up
+    assert _loaded_modules(code) == {f"zerosum.{m}" for m in loaded}
+
+
+# ---------------------------------------------------------------------------
+# the record classes
+
+Z24 = groups.AbelianGroup((2, 4))
+SEQ = groups.ZSequence(Z24, ((0, 1), (1, 0)))
+O26 = quad.QuadOrder(26)
+P5 = quad.QuadIdeal(5, 2)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, shown, other, bad",
+    [
+        pytest.param(
+            groups.AbelianGroup, {"factors": (2, 4)}, "AbelianGroup(factors=(2, 4))",
+            {"factors": (4, 2)}, ({"factors": ()}, ValueError), id="AbelianGroup",
+        ),
+        pytest.param(
+            groups.ZSequence, {"group": Z24, "entries": ((0, 1), (1, 0))},
+            "ZSequence(group=AbelianGroup(factors=(2, 4)), entries=((0, 1), (1, 0)))",
+            {"entries": ((0, 1),)}, ({"entries": ((1, 0), (0, 1))}, ValueError), id="ZSequence",
+        ),
+        pytest.param(
+            sums.SumSet, {"group": Z24, "lengths": (((0, 1), 1), ((1, 1), 2))},
+            "SumSet(group=AbelianGroup(factors=(2, 4)), lengths=(((0, 1), 1), ((1, 1), 2)))",
+            {"lengths": ()}, None, id="SumSet",
+        ),
+        pytest.param(
+            sums.MZResult, {"value": 2, "witness": SEQ},
+            f"MZResult(value=2, witness={SEQ!r})", {"value": 3}, None, id="MZResult",
+        ),
+        pytest.param(
+            sums.DavenportResult, {"value": 5, "witness": SEQ},
+            f"DavenportResult(value=5, witness={SEQ!r})", {"value": 6}, None, id="DavenportResult",
+        ),
+        pytest.param(
+            quad.QuadOrder, {"d": 26}, "QuadOrder(d=26)", {"d": 5}, ({"d": 4}, DomainError), id="QuadOrder",
+        ),
+        pytest.param(
+            quad.QuadIdeal, {"a": 5, "b": 2, "scale": 3}, "QuadIdeal(a=5, b=2, scale=3)",
+            {"scale": 1}, ({"b": 5}, InvalidIdealError), id="QuadIdeal",
+        ),
+        pytest.param(
+            quad.ClassGroup,
+            {
+                "base": quad.QuadOrder(1), "order_h": 1, "element_reps": ((1, 0, 1),),
+                "structure": (), "generator_index": 0, "exponents": MappingProxyType({(1, 0, 1): 0}),
+            },
+            "ClassGroup(base=QuadOrder(d=1), order_h=1, element_reps=((1, 0, 1),), structure=(),"
+            " generator_index=0)",
+            {"order_h": 2}, None, id="ClassGroup",
+        ),
+        pytest.param(
+            quad.ShortPrincipalProduct,
+            {"indices": (0,), "classes": (0,), "support": 1, "bound": 1, "product": P5, "generator": (7, 1)},
+            "ShortPrincipalProduct(indices=(0,), classes=(0,), support=1, bound=1,"
+            " product=QuadIdeal(a=5, b=2, scale=1), generator=(7, 1))",
+            {"bound": 2}, None, id="ShortPrincipalProduct",
+        ),
+        pytest.param(
+            verify.VerificationReport,
+            {
+                "statement_id": "egz", "parameters": {"n": 4}, "instances_checked": 1,
+                "orbit_reduced": False, "violations": [], "violations_total": 0,
+                "details": {"k": 1}, "elapsed_ms": 3,
+            },
+            "VerificationReport(statement_id='egz', parameters={'n': 4}, instances_checked=1,"
+            " orbit_reduced=False, violations=[], violations_total=0, details={'k': 1}, elapsed_ms=3)",
+            {"elapsed_ms": 4}, None, id="VerificationReport",
+        ),
+    ],
+)
+def test_record_class_behaves_as_its_dataclass_did(cls, fields, shown, other, bad):
+    by_position = cls(*fields.values())
+    by_keyword = cls(**fields)
+    assert by_position == by_keyword and not by_position != by_keyword
+    assert repr(by_keyword) == shown
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) is value
+    # equal by value, and only to an instance of its own class
+    assert cls(**{**fields, **other}) != by_keyword
+    assert by_keyword.__eq__(tuple(fields.values())) is NotImplemented
+    assert by_keyword != type("Other", (), dict(fields))()
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=1)
+    if bad is not None:
+        changed, error = bad
+        with pytest.raises(error):
+            cls(**{**fields, **changed})
+    if cls is verify.VerificationReport:
+        # mutable, so unhashable
+        with pytest.raises(TypeError):
+            hash(by_keyword)
+        by_keyword.elapsed_ms = 4
+        assert by_keyword == cls(**{**fields, **other}) != by_position
+        return
+    shown_values = tuple(v for name, v in fields.items() if name != "exponents")
+    assert hash(by_position) == hash(by_keyword) == hash(shown_values)
+    assert {by_position: 1}[by_keyword] == 1
+    first = next(iter(fields))
+    for name in (first, "no_such_field"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(by_keyword, name, 1)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{first}'"):
+        delattr(by_keyword, first)
+    assert getattr(by_keyword, first) is fields[first]
+
+
+def test_record_defaults():
+    assert quad.QuadIdeal(5, 2) == quad.QuadIdeal(5, 2, 1) == P5
+    assert P5.scale == 1
+    report = verify.VerificationReport("egz", {}, 0, False, [], 0)
+    assert report.details == {} and report.elapsed_ms == 0
+    # a fresh details dict per report, not one shared default
+    report.details["k"] = 1
+    assert verify.VerificationReport("egz", {}, 0, False, [], 0).details == {}
+
+
+def test_record_without_fields_fails_when_defined():
+    # no annotations of its own (as under lazy annotations without the
+    # future import): refused at once, not a record that equals anything
+    with pytest.raises(TypeError, match="Empty has no annotated fields"):
+
+        @groups.record()
+        class Empty:
+            x = 1
+
+
+def test_class_group_exponents_stay_out_of_equality_hash_and_repr():
+    cg = quad.class_group(O26)
+    other = quad.ClassGroup(
+        cg.base, cg.order_h, cg.element_reps, cg.structure, cg.generator_index, MappingProxyType({})
+    )
+    assert other == cg and hash(other) == hash(cg) and repr(other) == repr(cg)
+    assert "exponents" not in repr(cg)
+    assert other.exponents == {} and cg.exponents != {}
+
+
+def test_sum_set_caches_its_lookup_table_in_its_dict():
+    ss = sums.sumset(SEQ)
+    assert "_by_value" not in ss.__dict__
+    assert ss.min_length_of((1, 1)) == 2 and (0, 0) not in ss
+    assert ss.__dict__["_by_value"] == dict(ss.lengths)
+    # the cache is no field: equality and repr ignore it
+    assert ss == sums.SumSet(ss.group, ss.lengths)
+    assert "_by_value" not in repr(ss)

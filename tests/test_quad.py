@@ -9,7 +9,15 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import associates, brute_element_orders, brute_reduced_forms, principal_class, units_of
+from conftest import (
+    associates,
+    brute_element_orders,
+    brute_reduced_forms,
+    ideal_pow,
+    principal_class,
+    reduced_class_ideal,
+    units_of,
+)
 from zerosum import quad
 from zerosum.errors import (
     ArityError,
@@ -157,13 +165,13 @@ def test_ideal_membership_matches_lattice_brute_force():
 
 def test_ideal_powers_frozen():
     p1 = quad.parse_ideal(O26, "5,2")
-    p3_ = quad.ideal_pow(O26, p1, 3)
-    p4_ = quad.ideal_pow(O26, p1, 4)
+    p3_ = ideal_pow(O26, p1, 3)
+    p4_ = ideal_pow(O26, p1, 4)
     assert (p3_.a, p3_.b, p3_.scale) == (125, 82, 1)
     assert (p4_.a, p4_.b, p4_.scale) == (625, 582, 1)
-    assert quad.ideal_pow(O26, p1, 0) == quad.unit_ideal(O26)
+    assert ideal_pow(O26, p1, 0) == quad.unit_ideal(O26)
     with pytest.raises(DomainError):
-        quad.ideal_pow(O26, p1, -1)
+        ideal_pow(O26, p1, -1)
 
 
 def test_ideal_norm_multiplicative():
@@ -376,13 +384,13 @@ def test_class_group_exponents_are_read_only():
 
 def test_reduced_class_ideal_frozen():
     p1 = quad.parse_ideal(O26, "5,2")
-    assert quad.reduced_class_ideal(O26, quad.ideal_pow(O26, p1, 3)) == quad.parse_ideal(
+    assert reduced_class_ideal(O26, ideal_pow(O26, p1, 3)) == quad.parse_ideal(
         O26, "2,0"
     )
-    assert quad.reduced_class_ideal(O26, quad.ideal_pow(O26, p1, 4)) == quad.parse_ideal(
+    assert reduced_class_ideal(O26, ideal_pow(O26, p1, 4)) == quad.parse_ideal(
         O26, "3,1"
     )
-    assert quad.reduced_class_ideal(O26, quad.ideal_pow(O26, p1, 6)) == quad.unit_ideal(O26)
+    assert reduced_class_ideal(O26, ideal_pow(O26, p1, 6)) == quad.unit_ideal(O26)
 
 
 def test_is_principal_frozen():
@@ -390,13 +398,13 @@ def test_is_principal_frozen():
     p3 = quad.parse_ideal(O26, "3,1")
     assert quad.is_principal(O26, p1) is None
     assert quad.is_principal(O26, p3) is None
-    prod = quad.ideal_mul(O26, quad.ideal_pow(O26, p1, 2), p3)
+    prod = quad.ideal_mul(O26, ideal_pow(O26, p1, 2), p3)
     gen = quad.is_principal(O26, prod)
     assert gen == (7, 1)
     assert quad.norm(O26, gen) == 75
     assert quad.principal_ideal(O26, gen) == prod
     # the sixth power of p1 is principal (class has order 6)
-    p6 = quad.ideal_pow(O26, p1, 6)
+    p6 = ideal_pow(O26, p1, 6)
     gen6 = quad.is_principal(O26, p6)
     assert gen6 is not None
     assert quad.principal_ideal(O26, gen6) == p6
@@ -407,7 +415,7 @@ def test_is_principal_matches_class():
     cg = quad.class_group(O26)
     p1 = quad.parse_ideal(O26, "5,2")
     for k in range(0, 8):
-        ideal = quad.ideal_pow(O26, p1, k)
+        ideal = ideal_pow(O26, p1, k)
         principal = quad.is_principal(O26, ideal) is not None
         assert principal == (quad.ideal_class(cg, ideal) == 0)
 
@@ -518,7 +526,7 @@ def test_short_principal_product_all_principal():
 
 def test_short_principal_product_two_torsion_demo():
     p = quad.parse_ideal(O5, "2,1")
-    assert quad.ideal_pow(O5, p, 2) == quad.principal_ideal(O5, (2, 0))
+    assert ideal_pow(O5, p, 2) == quad.principal_ideal(O5, (2, 0))
     res = quad.find_short_principal_product(O5, [p, p])
     assert len(res.indices) == 2
     assert res.classes == (1, 1)
