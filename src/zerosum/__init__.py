@@ -17,7 +17,7 @@ _EXPORTS = {
     ),
     "groups": (
         "AbelianGroup", "ZSequence", "element_add", "element_neg", "format_element",
-        "groups_of_order", "parse_element", "parse_entries", "parse_group", "units",
+        "groups_of_order", "parse_element", "parse_entries", "parse_group",
     ),
     "sums": (
         "INFINITY", "DavenportResult", "MZResult", "SumSet", "davenport",

@@ -241,17 +241,6 @@ class ZSequence:
 
 
 # ---------------------------------------------------------------------------
-# units mod n
-
-
-def units(n: int) -> tuple[int, ...]:
-    """Multiplicative units mod n, as residues in [1, n]."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    return tuple(u for u in range(1, n + 1) if math.gcd(u, n) == 1)
-
-
-# ---------------------------------------------------------------------------
 # parsing and formatting
 
 

@@ -93,20 +93,14 @@ def elem_conj(order: QuadOrder, a: Element) -> Element:
     return (x + order.omega_trace * y, -y)
 
 
-def elem_divide(order: QuadOrder, alpha: Element, beta: Element) -> Element | None:
-    """alpha / beta when exact in the order, else None."""
+def elem_divides(order: QuadOrder, alpha: Element, beta: Element) -> bool:
+    """True when beta divides alpha in the order: alpha * conj(beta) is
+    a multiple of N(beta)."""
     nb = norm(order, beta)
     if nb == 0:
         raise DomainError("division by zero")
     px, py = elem_mul(order, alpha, elem_conj(order, beta))
-    if px % nb or py % nb:
-        return None
-    return (px // nb, py // nb)
-
-
-def elem_divides(order: QuadOrder, alpha: Element, beta: Element) -> bool:
-    """True when beta divides alpha in the order."""
-    return elem_divide(order, alpha, beta) is not None
+    return not (px % nb or py % nb)
 
 
 def format_element(order: QuadOrder, alpha: Element) -> str:
@@ -271,13 +265,6 @@ def form_of_ideal(order: QuadOrder, ideal: QuadIdeal) -> Form:
     if form_discriminant(form) != order.discriminant:
         raise StructureError("ideal form has the wrong discriminant")
     return form
-
-
-def ideal_of_form(order: QuadOrder, form: Form) -> QuadIdeal:
-    a, b_form, _ = form
-    t = order.omega_trace
-    b = _exact_div(b_form - t, 2) % a
-    return validate_ideal(order, QuadIdeal(a, b, 1))
 
 
 def reduce_form(form: Form) -> Form:

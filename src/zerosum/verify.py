@@ -207,14 +207,14 @@ def _over_budget(n: int, length: int, cap: int) -> BudgetExceededError:
 
 
 def _walk_packed(n: int, length: int, prefix: tuple, leaf, cut, cap: int, depth: int = 0) -> tuple[int, int]:
-    """Call leaf(packed, combo, counts) on each non-decreasing sequence not settled by cut.
+    """Call leaf(packed, combo, supp) on each non-decreasing sequence not settled by cut.
 
     Covers the length-`length` sequences over Z_n that start with prefix,
     in lexicographic order; a nonzero depth stops it at their prefixes of
-    that many entries.  combo is the sequence, counts its count vector,
-    and packed its subset sums in the layout of
-    sums.cyclic_rotation_masks, cut to lengths 0..n.  All three are only
-    valid during the call.
+    that many entries.  combo is the sequence, supp its number of
+    distinct values, and packed its subset sums in the layout of
+    sums.cyclic_rotation_masks, cut to lengths 0..n.  combo is only valid
+    during the call.
 
     cut(packed, combo, supp, rest) is asked of each nonempty prefix, the
     whole sequence included, with its supp distinct values and the rest
@@ -228,7 +228,6 @@ def _walk_packed(n: int, length: int, prefix: tuple, leaf, cut, cap: int, depth:
     """
     lo_mask, hi_mask = sums.cyclic_rotation_masks(n, n)
     combo: list[int] = []
-    counts = [0] * n
     top = (depth or length) - 1
     along = len(prefix)
     settled = work = 0
@@ -238,22 +237,21 @@ def _walk_packed(n: int, length: int, prefix: tuple, leaf, cut, cap: int, depth:
         # is inlined: a call per node would add about 15% to the walk
         nonlocal settled, work
         rest = length - 1 - at
-        # along the prefix, only its own entry
+        # along the prefix, only its own entry; lo_v is the entry before,
+        # and the sequence never decreases, so v is new when it differs
         for v in range(lo_v, n) if at >= along else (prefix[at],):
             y = x | ((((x << v) & lo_mask[v]) | ((x >> (n - v)) & hi_mask[v])) << n)
-            grown = supp + (not counts[v])
+            grown = supp + (not at or v != lo_v)
             combo.append(v)
-            counts[v] += 1
             if cut(y, combo, grown, rest):
                 settled += comb(n - v + rest - 1, rest)
                 work += 1
             elif at < top:
                 rec(v, at + 1, y, grown)
             else:
-                leaf(y, combo, counts)
+                leaf(y, combo, grown)
                 work += not rest
             combo.pop()
-            counts[v] -= 1
         if work > cap:
             raise _over_budget(n, length, cap)
 
@@ -311,22 +309,20 @@ def _length_n_cut(n: int):
 def _scan_length_n(args: tuple) -> dict:
     """Verify every length-n multiset over Z_n that starts with a prefix.
 
-    For each walked instance the minimal zero-sum length m and the
-    support size are computed (packed cardinality-resolved subset sums),
-    and all the length-n statements are evaluated at once; a settled
-    subtree adds to instances alone.  args is (n, prefix, cap), passed
-    on to _walk_packed.  Like every scan result it holds its
-    violations as totals (law -> count) and rows, both written by
-    _add_violation.
+    Each walked instance comes with its support size; its minimal
+    zero-sum length m is read off the packed subset sums, and all the
+    length-n statements are evaluated at once.  A settled subtree adds
+    to instances alone.  args is (n, prefix, cap), passed on to
+    _walk_packed.  Like every scan result it holds its violations as
+    totals (law -> count) and rows, both written by _add_violation.
     """
     n, prefix, cap = args
     allowed_s = {0, 1, n - 2, n - 1}
     out = {"instances": 0, "work": 0, "slice_nm1": 0, "slice_nm2": 0, "full_instances": 0}
     out.update(full_witnesses=[], realized={}, first_tight={}, totals={}, rows=[])
 
-    def leaf(packed: int, combo: list[int], counts: list[int]) -> None:
+    def leaf(packed: int, combo: list[int], supp: int) -> None:
         out["instances"] += 1
-        supp = len(set(combo))
         m = _leaf_min_zero_length(packed, n)
         if m is None:
             # no zero-sum subsequence at all; the short-bound law cannot hold
@@ -359,14 +355,15 @@ def _scan_length_n(args: tuple) -> dict:
                 out["first_tight"][s] = list(combo)
             if s not in allowed_s:
                 _add_violation(out, "tight-support-range", combo, s, "{0,1,n-2,n-1}")
-            if max(counts) < n - s:
-                _add_violation(out, "tight-support-multiplicity", combo, max(counts), n - s)
+            # combo is sorted, so equal values stand in runs
+            most = max(len(list(run)) for _, run in groupby(combo))
+            if most < n - s:
+                _add_violation(out, "tight-support-multiplicity", combo, most, n - s)
             if s == 1 and n >= 4:
-                a = counts.index(n - 1) if n - 1 in counts else -1
-                ok = False
-                if a >= 0:
-                    b = next(v for v in combo if v != a) if supp == 2 else a
-                    ok = b == (2 * a) % n and gcd(a, n) == 1
+                # supp is 2: a^(n-1) b or b a^(n-1), and either way combo[1] is a
+                a = combo[1]
+                b = combo[-1] if combo[0] == a else combo[0]
+                ok = combo.count(a) == n - 1 and b == (2 * a) % n and gcd(a, n) == 1
                 if not ok:
                     _add_violation(
                         out, "tight-support-shape", combo, "other", "a^(n-1)+(2a), ord(a)=n"
@@ -455,7 +452,7 @@ def _zn_bundle(family: str, n: int, shards: int, cap: int) -> dict:
     prefixes, settled, work = [()], 0, 0
     if shards > 1 and n >= POOL_MIN_ORDER[family] and length > 1:
         prefixes = []
-        deal = lambda packed, combo, counts: prefixes.append(tuple(combo))
+        deal = lambda packed, combo, supp: prefixes.append(tuple(combo))
         cut = _length_n_cut(n) if family == "length-n" else _egz_cut(n)
         settled, work = _walk_packed(n, length, (), deal, cut, cap, min(POOL_DEPTH, length - 1))
     merged = _merge_scans(head + _run_workers(worker, [(n, p, cap) for p in prefixes], shards))
@@ -725,7 +722,7 @@ def _scan_egz(args: tuple) -> dict:
     out = {"instances": 0, "work": 0, "totals": {}, "rows": []}
     target = n * n
 
-    def leaf(packed: int, combo: list[int], counts: list[int]) -> None:
+    def leaf(packed: int, combo: list[int], supp: int) -> None:
         out["instances"] += 1
         if not packed >> target & 1:
             _add_violation(out, "exact-n-zero-sum", combo, False, True)

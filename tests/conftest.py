@@ -6,13 +6,14 @@ paths is meaningful.  packed_pairs only decodes the packed layout of
 the Z_n scans (sums.cyclic_rotation_masks: bit L*|G| + v), and
 replay_settled_walk checks the prefixes a Z_n walk settled against the
 cut's argument with no `sums` or `verify` code.
-The unit action, its orbit representative, the units of a quadratic
-order, element scaling and orders, the Z_n scans' packed step
-cyclic_add_residue, the sequence parser, ideal powers and the reduced
-ideal of a class live here because only the tests use them.  brute_element_orders
-composes each form's powers on their own, as the reference for
-class_group's shared walks, and brute_reduced_forms enumerates reduced
-forms over (a, b) as the reference for quad.reduced_forms' (a, c) walk.
+The units mod n, the unit action, its orbit representative, the units
+of a quadratic order, element scaling and orders, the Z_n scans' packed
+step cyclic_add_residue, the sequence parser, ideal powers, the ideal
+of a form and the reduced ideal of a class live here because only the
+tests use them.  brute_element_orders composes each form's powers on
+their own, as the reference for class_group's shared walks, and
+brute_reduced_forms enumerates reduced forms over (a, b) as the
+reference for quad.reduced_forms' (a, c) walk.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import add, mod
 
 from zerosum import quad
 from zerosum.errors import DomainError, InvalidElementError
-from zerosum.groups import AbelianGroup, Element, ZSequence, parse_entries, units
+from zerosum.groups import AbelianGroup, Element, ZSequence, parse_entries
 
 
 def brute_sigma(seq: ZSequence) -> dict[Element, int]:
@@ -193,6 +194,13 @@ def parse_sequence(group: AbelianGroup, text: str) -> ZSequence:
 # the unit action on sequences over Z_n, and units of quadratic orders
 
 
+def units(n: int) -> tuple[int, ...]:
+    """Multiplicative units mod n, as residues in [1, n]."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    return tuple(u for u in range(1, n + 1) if gcd(u, n) == 1)
+
+
 def unit_multiply(group: AbelianGroup, u: int, seq: ZSequence) -> ZSequence:
     """Image of a sequence under entrywise multiplication by a unit u."""
     _require_cyclic_rank_one(group)
@@ -253,10 +261,18 @@ def ideal_pow(order: quad.QuadOrder, ideal: quad.QuadIdeal, exponent: int) -> qu
     return out
 
 
+def ideal_of_form(order: quad.QuadOrder, form: quad.Form) -> quad.QuadIdeal:
+    """The primitive ideal (a, (b - t)/2 + w) of a form (a, b, c); the
+    inverse of quad.form_of_ideal on primitive ideals."""
+    a, b_form, _ = form
+    b = quad._exact_div(b_form - order.omega_trace, 2) % a
+    return quad.validate_ideal(order, quad.QuadIdeal(a, b, 1))
+
+
 def reduced_class_ideal(order: quad.QuadOrder, ideal: quad.QuadIdeal) -> quad.QuadIdeal:
     """Canonical ideal representative of [ideal]: the one attached to the
     reduced form of its class."""
-    return quad.ideal_of_form(order, quad.reduce_form(quad.form_of_ideal(order, ideal)))
+    return ideal_of_form(order, quad.reduce_form(quad.form_of_ideal(order, ideal)))
 
 
 def brute_element_orders(forms: tuple[quad.Form, ...], ident: quad.Form) -> list[int]:

@@ -11,6 +11,7 @@ from conftest import (
     element_scale,
     parse_sequence,
     unit_multiply,
+    units,
 )
 from zerosum.errors import InvalidElementError, ParseError
 from zerosum.groups import (
@@ -23,7 +24,6 @@ from zerosum.groups import (
     parse_element,
     parse_entries,
     parse_group,
-    units,
 )
 
 Z6 = AbelianGroup((6,))

@@ -13,6 +13,7 @@ from conftest import (
     associates,
     brute_element_orders,
     brute_reduced_forms,
+    ideal_of_form,
     ideal_pow,
     principal_class,
     reduced_class_ideal,
@@ -246,8 +247,8 @@ def test_compose_matches_ideal_multiplication():
     cg = quad.class_group(O26)
     for f1 in cg.element_reps:
         for f2 in cg.element_reps:
-            i1 = quad.ideal_of_form(O26, f1)
-            i2 = quad.ideal_of_form(O26, f2)
+            i1 = ideal_of_form(O26, f1)
+            i2 = ideal_of_form(O26, f2)
             via_forms = quad.compose_reduced(f1, f2)
             via_ideals = quad.reduce_form(
                 quad.form_of_ideal(O26, quad.ideal_mul(O26, i1, i2))
@@ -310,7 +311,7 @@ def test_class_group_matches_brute_element_orders():
             continue
         power = principal_class(cg)
         for e in range(h):
-            assert quad.ideal_class(cg, quad.ideal_of_form(order, power)) == e, (d, e)
+            assert quad.ideal_class(cg, ideal_of_form(order, power)) == e, (d, e)
             power = quad.compose_reduced(power, cg.generator)
         assert power == principal_class(cg)
 
@@ -346,7 +347,7 @@ def test_class_group_and_ideal_class_composition_counts(monkeypatch):
         if cg.is_cyclic:
             calls[0] = 0
             for f in cg.element_reps:
-                quad.ideal_class(cg, quad.ideal_of_form(order, f))
+                quad.ideal_class(cg, ideal_of_form(order, f))
             assert calls[0] == 0, d
 
 

@@ -22,6 +22,7 @@ from conftest import (
     packed_pairs,
     parse_sequence,
     unit_multiply,
+    units,
 )
 from zerosum import sums
 from zerosum.errors import BudgetExceededError
@@ -404,8 +405,6 @@ def test_sumset_of_a_long_sparse_run():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_unit_action_preserves_invariants(data):
-    from zerosum.groups import units
-
     n = data.draw(st.sampled_from([5, 6, 8, 12]))
     group = AbelianGroup((n,))
     entries = data.draw(

@@ -76,8 +76,8 @@ def test_walk_packed_leaves_match_subset_enumeration():
     for n, length in ((4, 4), (5, 5), (4, 7), (5, 9)):
         seen = []
 
-        def leaf(packed, combo, counts):
-            assert counts == [combo.count(v) for v in range(n)]
+        def leaf(packed, combo, supp):
+            assert supp == len(set(combo))
             want = {(L, r) for L, r in brute_length_sums(AbelianGroup((n,)), [(v,) for v in combo]) if L <= n}
             assert packed_pairs(n, packed) == want
             seen.append(tuple(combo))
@@ -94,7 +94,7 @@ def _walk_leaves(n: int, length: int, prefix: tuple, depth: int = 0) -> list:
         n,
         length,
         prefix,
-        lambda packed, combo, counts: out.append((tuple(combo), packed, tuple(counts))),
+        lambda packed, combo, supp: out.append((tuple(combo), packed, supp)),
         _never,
         10**9,
         depth,
@@ -108,14 +108,18 @@ def test_walk_packed_rank_ranges_concatenate():
     # the sequences below a prefix are a range of ranks: the walk stopped
     # at depth d deals every prefix of d entries in lexicographic order,
     # and the walks below them replay the full walk exactly: same leaves
-    # in the same order, with the same packed sums and count vectors
+    # in the same order, with the same packed sums and supports
     for n, length in ((3, 1), (4, 4), (5, 5), (4, 7), (5, 9)):
         full = _walk_leaves(n, length, ())
         assert [leaf[0] for leaf in full] == list(combinations_with_replacement(range(n), length))
+        assert all(supp == len(set(combo)) for combo, _, supp in full)
         for depth in range(1, min(length, 4)):
             prefixes = [leaf[0] for leaf in _walk_leaves(n, length, (), depth)]
             assert prefixes == list(combinations_with_replacement(range(n), depth))
             assert [leaf for p in prefixes for leaf in _walk_leaves(n, length, p)] == full
+    # the first entry walked below (0, 2) repeats the prefix's last one
+    first = _walk_leaves(4, 4, (0, 2))[0]
+    assert first[0] == (0, 2, 2, 2) and first[2] == 2
 
 
 def _recorded_walk(family: str, n: int) -> tuple[list, list, tuple[int, int]]:
@@ -131,7 +135,7 @@ def _recorded_walk(family: str, n: int) -> tuple[list, list, tuple[int, int]]:
         return hit
 
     result = verify._walk_packed(
-        n, length, (), lambda packed, combo, counts: walked.append(tuple(combo)), cut, 10**9
+        n, length, (), lambda packed, combo, supp: walked.append(tuple(combo)), cut, 10**9
     )
     return settled, walked, result
 
@@ -317,9 +321,9 @@ def test_length_n_reconciliation_catches_a_lost_cover(monkeypatch, part):
             def around(packed, combo, supp, rest):
                 return combo != lost[: len(combo)] and cut(packed, combo, supp, rest)
 
-            def other(packed, combo, counts):
+            def other(packed, combo, supp):
                 if combo != lost:
-                    leaf(packed, combo, counts)
+                    leaf(packed, combo, supp)
 
             return real_walk(n, length, prefix, other, around, cap, depth)
 
