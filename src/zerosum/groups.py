@@ -12,89 +12,72 @@ import math
 from itertools import product as _cartesian
 from typing import Iterable, Iterator
 
-from .errors import InvalidElementError, ParseError
+from .errors import DomainError, InvalidElementError, ParseError
 
 Element = tuple[int, ...]
 
-_NO_VALUE = object()
 
-
-def record(*, frozen: bool = True, hidden: tuple[str, ...] = (), factories: dict | None = None):
+def record(cls):
     """Class decorator for the package's value records.
 
     The fields are the class's own annotations, in order; a class
-    attribute of a field's name is its default, and factories[name]() a
-    fresh default per instance.  It adds __init__ (fields positional or
-    by keyword, then __post_init__ when the class has one), and __eq__
-    (same class only) and __repr__ over the fields not in hidden.  A
-    frozen record also gets __hash__ over those fields and refuses
-    assignment with AttributeError; any other record is unhashable.
-    Instances keep their __dict__, so functools.cached_property works.
-    The fields are read from the class's own __annotations__ entry, which
-    Python 3.14+ fills eagerly only under `from __future__ import
-    annotations`; a module defining a record needs that import, and a
-    class with no fields found raises TypeError when it is decorated.
-    These are the parts of dataclasses the records used; importing
-    dataclasses loads inspect, which took about 9 ms of every CLI call's
-    start-up (python -X importtime, Python 3.11, 2 CPUs).
+    attribute of a field's name is its default.  It adds __init__ (fields
+    positional or by keyword, then __post_init__ when the class has one),
+    __eq__ (same class only), __hash__ and __repr__ over all the fields,
+    and refuses assignment and deletion with AttributeError.  Data
+    derived from the fields goes in a functools.cached_property, which
+    writes to the instance's __dict__ and so stays out of equality, hash
+    and repr.  The fields are read from the class's own __annotations__
+    entry, which Python 3.14+ fills eagerly only under `from __future__
+    import annotations`; a module defining a record needs that import,
+    and a class with no fields found raises TypeError when it is
+    decorated.  These are the parts of dataclasses the records used;
+    importing dataclasses loads inspect, which took about 9 ms of every
+    CLI call's start-up (python -X importtime, Python 3.11, 2 CPUs).
     """
-    factories = factories or {}
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    if not names:
+        raise TypeError(f"record {cls.__qualname__} has no annotated fields")
+    scope = {"_set": object.__setattr__}
+    params, body = [], []
+    for name in names:
+        if name in cls.__dict__:
+            scope[f"_default_{name}"] = cls.__dict__[name]
+            params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
+        body.append(f"_set(self, {name!r}, {name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    mine = "".join(f"self.{name}," for name in names)
+    theirs = "".join(f"other.{name}," for name in names)
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body) + "\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is not self.__class__:\n"
+        "        return NotImplemented\n"
+        f"    return ({mine}) == ({theirs})\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n",
+        scope,
+    )
 
-    def build(cls):
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        if not names:
-            raise TypeError(f"record {cls.__qualname__} has no annotated fields")
-        shown = [name for name in names if name not in hidden]
-        scope = {"_set": object.__setattr__, "_factories": factories, "_NO_VALUE": _NO_VALUE}
-        params, body = [], []
-        for name in names:
-            if name in factories:
-                params.append(f"{name}=_NO_VALUE")
-                body.append(f"if {name} is _NO_VALUE: {name} = _factories[{name!r}]()")
-            elif name in cls.__dict__:
-                scope[f"_default_{name}"] = cls.__dict__[name]
-                params.append(f"{name}=_default_{name}")
-            else:
-                params.append(name)
-            body.append(f"_set(self, {name!r}, {name})")
-        if hasattr(cls, "__post_init__"):
-            body.append("self.__post_init__()")
-        mine = "".join(f"self.{name}," for name in shown)
-        theirs = "".join(f"other.{name}," for name in shown)
-        exec(
-            f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body) + "\n"
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is not self.__class__:\n"
-            "        return NotImplemented\n"
-            f"    return ({mine}) == ({theirs})\n"
-            f"def __hash__(self):\n    return hash(({mine}))\n",
-            scope,
-        )
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({values})"
 
-        def __repr__(self) -> str:
-            values = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
-            return f"{self.__class__.__qualname__}({values})"
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-        def __setattr__(self, name: str, value) -> None:
-            raise AttributeError(f"cannot assign to field {name!r}")
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
-        def __delattr__(self, name: str) -> None:
-            raise AttributeError(f"cannot delete field {name!r}")
-
-        methods = {"__init__": scope["__init__"], "__eq__": scope["__eq__"], "__repr__": __repr__}
-        if frozen:
-            methods.update(__hash__=scope["__hash__"], __setattr__=__setattr__, __delattr__=__delattr__)
-        for name, method in methods.items():
-            method.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, method)
-        if not frozen:
-            cls.__hash__ = None
-        return cls
-
-    return build
+    for method in (scope["__init__"], scope["__eq__"], scope["__hash__"], __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
 
 
-@record()
+@record
 class AbelianGroup:
     """Direct product of cyclic groups, given by its factor orders."""
 
@@ -102,9 +85,9 @@ class AbelianGroup:
 
     def __post_init__(self) -> None:
         if not self.factors:
-            raise ValueError("group needs at least one cyclic factor")
+            raise DomainError("group needs at least one cyclic factor")
         if any(not isinstance(n, int) or n < 1 for n in self.factors):
-            raise ValueError("factor orders must be positive integers")
+            raise DomainError("factor orders must be positive integers")
 
     @property
     def rank(self) -> int:
@@ -191,7 +174,7 @@ def element_neg(group: AbelianGroup, a: Element) -> Element:
     return tuple((-x) % n for x, n in zip(a, group.factors))
 
 
-@record()
+@record
 class ZSequence:
     """Finite multiset of group elements, stored sorted.
 
@@ -213,7 +196,7 @@ class ZSequence:
         for g in self.entries:
             self.group.validate(g)
         if self.entries != tuple(sorted(self.entries)):
-            raise ValueError("sequence entries must be sorted; use from_iterable")
+            raise DomainError("sequence entries must be sorted; use from_iterable")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -330,7 +313,7 @@ def groups_of_order(m: int) -> list[AbelianGroup]:
     choosing a partition of the exponent of each prime dividing m.
     """
     if m < 1:
-        raise ValueError("group order must be positive")
+        raise DomainError("group order must be positive")
     if m == 1:
         return [AbelianGroup((1,))]
     prime_exponents = _prime_factorisation(m)

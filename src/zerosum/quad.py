@@ -14,8 +14,8 @@ provably finite boxes (the norm form is positive definite).
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, isqrt, prod
-from types import MappingProxyType
 
 from . import sums
 from .errors import (
@@ -43,7 +43,7 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@record()
+@record
 class QuadOrder:
     """Maximal order of Q(sqrt(-d)) for squarefree d >= 1."""
 
@@ -121,7 +121,7 @@ def format_element(order: QuadOrder, alpha: Element) -> str:
 # ideals in Hermite normal form
 
 
-@record()
+@record
 class QuadIdeal:
     """scale * (a*Z + (b + w)*Z) with 0 <= b < a; unique per module."""
 
@@ -357,14 +357,13 @@ def reduced_forms(disc: int) -> tuple[Form, ...]:
 # class group
 
 
-@record(hidden=("exponents",))
+@record
 class ClassGroup:
     """Form-class group of an imaginary quadratic maximal order.
 
-    exponents maps each reduced form f of a cyclic group to the e with
-    f = generator^e (empty otherwise).  It is the table class_group
-    builds for ideal_class, a read-only mapping, and left out of
-    equality and repr.
+    powers holds generator^0 .. generator^(h-1) of a cyclic group, as
+    reduced forms, and is empty otherwise: the generator's walk that
+    class_group keeps for ideal_class.
     """
 
     base: QuadOrder
@@ -372,7 +371,12 @@ class ClassGroup:
     element_reps: tuple[Form, ...]
     structure: tuple[int, ...]
     generator_index: int | None
-    exponents: MappingProxyType[Form, int]
+    powers: tuple[Form, ...]
+
+    @cached_property
+    def _exponents(self) -> dict[Form, int]:
+        # built on first lookup; not a field, so equality and repr ignore it
+        return {p: i for i, p in enumerate(self.powers)}
 
     @property
     def is_cyclic(self) -> bool:
@@ -414,8 +418,8 @@ def class_group(order: QuadOrder) -> ClassGroup:
     fewer than h * prod_{p | h} p/(p - 1) = O(h log log h) in all
     (sigma(h) for a cyclic group; at most 1.93h was observed over every
     squarefree d <= 1000).  The first form of order h is always walked
-    (every earlier walk has order below h), and its walk is kept,
-    read-only, as the exponent table of ideal_class.
+    (every earlier walk has order below h), and its walk is kept as
+    powers, from which ideal_class builds its lookup table.
     _invariant_factors checks the order statistics independently.
     """
     disc = order.discriminant
@@ -427,7 +431,7 @@ def class_group(order: QuadOrder) -> ClassGroup:
     if ident not in forms:
         raise StructureError("principal form missing from enumeration")
     orders: dict[Form, int] = {}
-    exponents: dict[Form, int] = {}
+    powers: tuple[Form, ...] = ()
     for f in forms:
         if f in orders:
             continue
@@ -441,8 +445,8 @@ def class_group(order: QuadOrder) -> ClassGroup:
         o = len(walk)
         for i, p in enumerate(walk):
             orders[p] = o // gcd(i, o)
-        if o == h and not exponents:
-            exponents = {p: i for i, p in enumerate(walk)}
+        if o == h and not powers:
+            powers = tuple(walk)
     element_orders = [orders[f] for f in forms]
     structure = _invariant_factors(element_orders, h)
     generator_index: int | None = None
@@ -450,21 +454,22 @@ def class_group(order: QuadOrder) -> ClassGroup:
         generator_index = 0
     elif len(structure) == 1:
         generator_index = element_orders.index(h)
-    return ClassGroup(order, h, forms, structure, generator_index, MappingProxyType(exponents))
+    return ClassGroup(order, h, forms, structure, generator_index, powers)
 
 
 def ideal_class(cg: ClassGroup, ideal: QuadIdeal) -> int:
     """Exponent e with [ideal] = generator^e; needs a cyclic class group.
 
-    The reduced form of the ideal is looked up in cg.exponents, the
-    generator's walk kept by class_group, so no form is composed.
+    The reduced form of the ideal is looked up in a table built once from
+    cg.powers, the generator's walk kept by class_group, so no form is
+    composed.
     """
     if not cg.is_cyclic:
         raise StructureError("class group is not cyclic; no single exponent exists")
     target = reduce_form(form_of_ideal(cg.base, ideal))
-    if target not in cg.exponents:
+    if target not in cg._exponents:
         raise StructureError(f"form {target} is not in the enumerated class group")
-    return cg.exponents[target]
+    return cg._exponents[target]
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +540,7 @@ def is_irreducible(order: QuadOrder, alpha: Element) -> bool:
     return True
 
 
-@record()
+@record
 class ShortPrincipalProduct:
     """Witness for the short-principal-product law: which input ideals to
     multiply, the product, and its canonical irreducible generator."""

@@ -44,7 +44,7 @@ WITNESS_BIT_CAP = 1 << 32
 DAVENPORT_ORDER_CAP = 64
 
 
-@record()
+@record
 class SumSet:
     """Nonempty subsequence sums of a sequence, with minimal lengths.
 
@@ -74,7 +74,7 @@ class SumSet:
         return len(self.lengths)
 
 
-@record()
+@record
 class MZResult:
     """Minimal zero-sum length: an int, or INFINITY for zero-sum-free input.
 
@@ -91,7 +91,7 @@ class MZResult:
         return self.value != INFINITY
 
 
-@record()
+@record
 class DavenportResult:
     """Davenport constant with a maximal zero-sum-free witness sequence."""
 

@@ -111,12 +111,7 @@ def _budget(budget: int | None) -> int:
     return SCAN_WORK_CAP if budget is None else budget
 
 
-def _require_budget(count: int, cap: int, what: str) -> None:
-    if count > cap:
-        raise BudgetExceededError(f"{what}: {_shown(count)} exceeds budget {_shown(cap)}")
-
-
-@record(frozen=False, factories={"details": dict})
+@record
 class VerificationReport:
     """Outcome of one exhaustive check.
 
@@ -152,9 +147,6 @@ class VerificationReport:
         if include_elapsed:
             out["elapsed_ms"] = self.elapsed_ms
         return out
-
-    def to_json(self, include_elapsed: bool = True) -> str:
-        return json.dumps(self.to_dict(include_elapsed), sort_keys=True)
 
 
 def reports_to_json(reports: list[VerificationReport], include_elapsed: bool = True) -> str:
@@ -692,8 +684,13 @@ def verify_sumset_lemmas(
         raise DomainError(f"sumset-growth needs k_max >= 1, got {k_max}")
     order = group.order
     _require_order("sumset-growth", order, "|G|")
-    count = sum(comb(order - 2 + k, k) for k in range(1, k_max + 1))
-    _require_budget(count, _budget(budget), f"sumset-growth over {group} to k_max {k_max}, multisets")
+    # the multisets of nonzero elements of lengths 1..k_max number
+    # sum_k C(|G|-2+k, k) = C(|G|-1+k_max, k_max) - 1 (hockey stick)
+    cap = _budget(budget)
+    if _more_multisets_than(order, k_max, cap + 1):
+        raise BudgetExceededError(
+            f"sumset-growth over {group} to k_max {k_max}, multisets: over budget {_shown(cap)}"
+        )
     return _report(
         "sumset-growth",
         {"group": str(group), "k_max": k_max},

@@ -13,7 +13,7 @@ from conftest import (
     unit_multiply,
     units,
 )
-from zerosum.errors import InvalidElementError, ParseError
+from zerosum.errors import DomainError, InvalidElementError, ParseError, ZerosumError
 from zerosum.groups import (
     AbelianGroup,
     ZSequence,
@@ -120,6 +120,19 @@ def test_validate_rejects_wrong_arity():
 def test_bad_input_raises(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_bad_group_input_is_a_package_error():
+    # `except ZerosumError` catches each; DomainError is still a ValueError
+    for call in (
+        lambda: AbelianGroup((0,)),
+        lambda: AbelianGroup(()),
+        lambda: ZSequence(Z6, ((2,), (1,))),
+        lambda: groups_of_order(0),
+    ):
+        with pytest.raises(ZerosumError) as info:
+            call()
+        assert type(info.value) is DomainError
 
 
 def test_sequence_is_sorted_multiset():

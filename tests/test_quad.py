@@ -3,6 +3,7 @@ and composition, class groups, principality, irreducibility."""
 
 from __future__ import annotations
 
+import re
 from itertools import product
 from math import gcd, isqrt, lcm
 
@@ -370,17 +371,24 @@ def test_ideal_class_frozen_and_homomorphic():
         quad.ideal_class(quad.class_group(quad.QuadOrder(21)), quad.unit_ideal(quad.QuadOrder(21)))
 
 
-def test_class_group_exponents_are_read_only():
-    # ideal_class reads this table; a caller must not be able to corrupt it
+def test_class_group_powers_are_read_only():
+    # ideal_class reads its table from powers; a caller must not be able to corrupt it
     cg = quad.class_group(O26)
     p1 = quad.parse_ideal(O26, "5,2")
     target = quad.reduce_form(quad.form_of_ideal(O26, p1))
+    with pytest.raises(AttributeError):
+        cg.powers = ()
     with pytest.raises(TypeError):
-        cg.exponents[target] = 0
-    with pytest.raises(TypeError):
-        del cg.exponents[target]
+        cg.powers[0] = target
+    with pytest.raises(AttributeError):
+        cg._exponents = {}
     assert quad.ideal_class(cg, p1) == 5
-    assert quad.class_group(quad.QuadOrder(21)).exponents == {}
+    assert quad.class_group(quad.QuadOrder(21)).powers == ()
+    # a form missing from the table is refused, not given an exponent
+    fields = (cg.base, cg.order_h, cg.element_reps, cg.structure, cg.generator_index)
+    short = quad.ClassGroup(*fields, tuple(p for p in cg.powers if p != target))
+    with pytest.raises(StructureError, match=re.escape(f"form {target} is not in the enumerated")):
+        quad.ideal_class(short, p1)
 
 
 def test_reduced_class_ideal_frozen():

@@ -60,7 +60,7 @@ def test_instances_counted_in_raw_space_with_and_without_orbit():
         default = verify.verify_thm_main(n)
         verify.clear_caches()
         off = verify.verify_thm_main(n, orbit_reduced=False)
-        assert default.to_json(include_elapsed=False) == off.to_json(include_elapsed=False)
+        assert default.to_dict(include_elapsed=False) == off.to_dict(include_elapsed=False)
         assert off.instances_checked == off.details["canonical_instances"] == comb(2 * n - 1, n)
         assert off.passed and off.orbit_reduced is False
         with pytest.raises(DomainError, match="orbit reduction is gone"):
@@ -187,8 +187,8 @@ def test_scan_cache_ignores_shard_count(monkeypatch):
         lambda shards: verify.verify_davenport_table(6),
     ]
     for run in runs:
-        first = run(1).to_json(include_elapsed=False)
-        again = run(2).to_json(include_elapsed=False)
+        first = verify.reports_to_json([run(1)], include_elapsed=False)
+        again = verify.reports_to_json([run(2)], include_elapsed=False)
         assert first == again
     assert calls == list(scans)
 
@@ -434,6 +434,21 @@ def test_sumset_scan_memory_is_its_path():
     assert peak <= 100_000, peak
 
 
+def test_sumset_growth_refuses_by_its_multiset_count():
+    # sum_{k<=6} C(8+k, k) = C(15, 6) - 1 = 5,004 nonzero multisets over
+    # Z10: admitted at exactly that budget, refused one below it
+    z10 = AbelianGroup((10,))
+    assert verify.verify_sumset_lemmas(z10, 6, budget=5_004).passed
+    with pytest.raises(BudgetExceededError, match="over budget 5003"):
+        verify.verify_sumset_lemmas(z10, 6, budget=5_003)
+    # the count is bounded as it grows, not summed in full: adding up
+    # 40,000 binomials at Z1000 took 6.4 s
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        verify.verify_sumset_lemmas(AbelianGroup((1000,)), 10**5)
+    assert time.perf_counter() - t0 < 0.5
+
+
 @pytest.mark.parametrize(
     "factors,k_max",
     [((n,), min(5, n + 1)) for n in range(2, 10)] + [((2, 2), 4), ((2, 4), 5), ((3, 3), 5)],
@@ -562,11 +577,11 @@ def test_verify_all_bundle_composition():
 
 def test_reports_serialize_to_canonical_json():
     r = verify.verify_thm_main(5)
-    doc = json.loads(r.to_json())
+    (doc,) = json.loads(verify.reports_to_json([r]))["reports"]
     assert doc["statement_id"] == "support-bound"
     assert doc["passed"] is True
     assert "elapsed_ms" in doc
-    doc2 = json.loads(r.to_json(include_elapsed=False))
+    (doc2,) = json.loads(verify.reports_to_json([r], include_elapsed=False))["reports"]
     assert "elapsed_ms" not in doc2
     combined = json.loads(verify.reports_to_json([r]))
     assert combined["passed"] is True
@@ -801,6 +816,20 @@ def test_each_length_n_law_reports_its_rows(monkeypatch, n, m, laws):
             assert (row["observed"], row["expected"]) == recompute(row["sequence"], n, m), row
         seen |= shown
     assert seen == laws
+
+
+def test_tight_support_shape_counts_the_repeated_value(monkeypatch):
+    # 1^3 2^2 over Z_5, told m = n - 1 = 4, is tight with s = 1, b = 2a and
+    # gcd(a, 5) = 1: only a's multiplicity, 3 not 4, breaks a^(n-1) (2a)
+    (packed,) = [p for combo, p, _ in _walk_leaves(5, 5, ()) if combo == (1, 1, 1, 2, 2)]
+    real = verify._leaf_min_zero_length
+    monkeypatch.setattr(
+        verify, "_leaf_min_zero_length", lambda p, n: 4 if (p, n) == (packed, 5) else real(p, n)
+    )
+    report = verify.verify_extremal_structure(5)
+    rows = {row["law"]: row for row in report.violations if row["sequence"] == [1, 1, 1, 2, 2]}
+    assert set(rows) == {"tight-support-multiplicity", "tight-support-shape"}
+    assert rows["tight-support-multiplicity"]["observed"] == 3
 
 
 def test_davenport_laws_report_their_rows(monkeypatch):
