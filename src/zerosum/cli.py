@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from . import sums
@@ -54,18 +53,6 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def _witness_in_input_order(
-    entries: list[Element], witness: ZSequence
-) -> list[Element]:
-    need = Counter(witness.entries)
-    out = []
-    for e in entries:
-        if need[e]:
-            need[e] -= 1
-            out.append(e)
-    return out
-
-
 def _parse_seq_args(args: argparse.Namespace) -> tuple[AbelianGroup, list[Element], ZSequence]:
     group = parse_group(args.group)
     entries = parse_entries(group, args.seq)
@@ -85,7 +72,7 @@ def cmd_mz(args: argparse.Namespace) -> int:
         "supp": supp,
     }
     if result.is_finite:
-        witness = _witness_in_input_order(entries, result.witness)
+        witness = [entries[i] for i in result.witness.positions_in(entries)]
         shown = "+".join(format_element(group, e) for e in witness)
         lines.append(f"mz: {int(result.value)}")
         lines.append(f"witness: {shown}=0")
@@ -222,7 +209,7 @@ def cmd_quad_class_group(args: argparse.Namespace) -> int:
         "reduced forms: " + " ".join(str(f) for f in cg.element_reps),
     ]
     if cg.generator_index is not None:
-        lines.append(f"generator: {cg.element_reps[cg.generator_index]}")
+        lines.append(f"generator: {cg.generator}")
     payload = {
         "d": args.d,
         "discriminant": order.discriminant,

@@ -212,6 +212,18 @@ class ZSequence:
     def multiplicity(self, g: Element) -> int:
         return self.entries.count(self.group.validate(g))
 
+    def positions_in(self, items: Iterable[Element]) -> list[int]:
+        """Positions of the first items, in their order, that make up this multiset."""
+        need: dict[Element, int] = {}
+        for g in self.entries:
+            need[g] = need.get(g, 0) + 1
+        out = []
+        for i, g in enumerate(items):
+            if need.get(g):
+                need[g] -= 1
+                out.append(i)
+        return out
+
     def total(self) -> Element:
         """Sum of all entries (identity for the empty sequence)."""
         acc = self.group.identity

@@ -572,14 +572,7 @@ def find_short_principal_product(
     result = sums.mz(seq)
     if not result.is_finite:
         raise StructureError("no zero-sum subset of classes; class data inconsistent")
-    needed: dict[int, int] = {}
-    for (value,) in result.witness:
-        needed[value] = needed.get(value, 0) + 1
-    indices = []
-    for i, cls in enumerate(classes):
-        if needed.get(cls, 0) > 0:
-            needed[cls] -= 1
-            indices.append(i)
+    indices = result.witness.positions_in((cls,) for cls in classes)
     product = unit_ideal(order)
     for i in indices:
         product = ideal_mul(order, product, ideals[i])

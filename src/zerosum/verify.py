@@ -123,7 +123,6 @@ class VerificationReport:
     statement_id: str
     parameters: dict
     instances_checked: int
-    orbit_reduced: bool
     violations: list[dict]
     violations_total: int
     details: dict
@@ -138,7 +137,6 @@ class VerificationReport:
             "statement_id": self.statement_id,
             "parameters": self.parameters,
             "instances_checked": self.instances_checked,
-            "orbit_reduced": self.orbit_reduced,
             "passed": self.passed,
             "violations": self.violations,
             "violations_total": self.violations_total,
@@ -423,7 +421,6 @@ def _report(statement_id: str, parameters: dict, key: tuple, scan, details) -> V
         statement_id=statement_id,
         parameters=parameters,
         instances_checked=bundle["instances"],
-        orbit_reduced=False,
         violations=rows[:VIOLATION_LIMIT],
         violations_total=sum(bundle["totals"].get(law, 0) for law in laws),
         details=details(bundle),
@@ -492,7 +489,6 @@ def _zn_report(
     family: str,
     n: int,
     details,
-    orbit_reduced: bool,
     shards: int,
     budget: int | None,
 ) -> VerificationReport:
@@ -503,13 +499,9 @@ def _zn_report(
     memory, are built; a scan cached under a larger budget is refused by
     the work it did.  details(bundle) gives the statement's own details;
     every report also carries canonical_instances, which equals
-    instances_checked now that no scan is orbit-reduced (zsbench reads
-    it).  orbit_reduced=True is refused: the raw walk with settled
-    subtrees is faster than the orbit walk was.
+    instances_checked: zsbench's verify.canonical_ratio probes read it.
     """
     _require_order(statement_id, n)
-    if orbit_reduced:
-        raise DomainError(f"{statement_id}: orbit reduction is gone, every scan over Z_n is raw")
     if shards < 1:
         raise DomainError(f"{statement_id} needs shards >= 1, got {shards}")
     length = n if family == "length-n" else 2 * n - 1
@@ -540,7 +532,13 @@ def verify_thm_main(
     """Support bound: length-n S over Z_n with finite minimal zero-sum
     length n-s has at most s+1 distinct entries.  The s=1 slice must hit
     exactly 2 distinct entries and the s=2 slice at most 3 (both n >= 3).
+
+    orbit_reduced=True is refused: every scan over Z_n is raw.
     """
+    # the keyword stays only for zsbench's verify.orbit_speedup.n12 probe,
+    # which looks for it, until the benchmark change of ROADMAP item 1
+    if orbit_reduced:
+        raise DomainError("support-bound: orbit reduction is gone, every scan over Z_n is raw")
 
     def details(bundle: dict) -> dict:
         totals = bundle["totals"]
@@ -554,13 +552,12 @@ def verify_thm_main(
             }
         }
 
-    return _zn_report("support-bound", "length-n", n, details, orbit_reduced, shards, budget)
+    return _zn_report("support-bound", "length-n", n, details, shards, budget)
 
 
 def verify_prop_all_equal(
     n: int,
     *,
-    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -573,13 +570,12 @@ def verify_prop_all_equal(
             "witnesses": bundle["full_witnesses"],
         }
 
-    return _zn_report("full-length-constant", "length-n", n, details, orbit_reduced, shards, budget)
+    return _zn_report("full-length-constant", "length-n", n, details, shards, budget)
 
 
 def verify_extremal_structure(
     n: int,
     *,
-    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -597,21 +593,18 @@ def verify_extremal_structure(
             "witnesses": {str(s): w for s, w in sorted(bundle["first_tight"].items())},
         }
 
-    return _zn_report("extremal-structure", "length-n", n, details, orbit_reduced, shards, budget)
+    return _zn_report("extremal-structure", "length-n", n, details, shards, budget)
 
 
 def verify_corollary_short_zero_sum(
     n: int,
     *,
-    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
     """Support forces short zero-sums: a length-n sequence over Z_n with
     s distinct entries has a zero-sum subsequence of length <= n-s+1."""
-    return _zn_report(
-        "short-zero-sum", "length-n", n, lambda bundle: {}, orbit_reduced, shards, budget
-    )
+    return _zn_report("short-zero-sum", "length-n", n, lambda bundle: {}, shards, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +671,7 @@ def verify_sumset_lemmas(
     at least k sums, at least k-1+supp sums, one-step growth of at least
     one per appended entry, and exactly k sums only for constant input.
 
-    The scan always runs in process and checks every multiset, so the
-    report is never orbit-reduced."""
+    The scan always runs in process and checks every multiset."""
     if k_max < 1:
         raise DomainError(f"sumset-growth needs k_max >= 1, got {k_max}")
     order = group.order
@@ -696,7 +688,7 @@ def verify_sumset_lemmas(
         {"group": str(group), "k_max": k_max},
         ("zero-sum-free", group.factors, k_max),
         lambda: _scan_zero_sum_free(group, k_max),
-        lambda bundle: {"canonical_instances": bundle["instances"]},
+        lambda bundle: {},
     )
 
 
@@ -741,7 +733,6 @@ def _sharpness_block(n: int) -> dict:
 def verify_egz(
     n: int,
     *,
-    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
@@ -754,7 +745,7 @@ def verify_egz(
             "sharpness_confirmed": "sharpness-witness" not in bundle["totals"],
         }
 
-    return _zn_report("egz", "egz", n, details, orbit_reduced, shards, budget)
+    return _zn_report("egz", "egz", n, details, shards, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -852,15 +843,13 @@ def verify_statement(
     n_max: int,
     *,
     n: int | None = None,
-    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> list[VerificationReport]:
     """The reports of one STATEMENTS entry over its orders up to n_max,
-    or at the single order n.  `shards` and `orbit_reduced` apply to the
-    scans over Z_n only, which refuse orbit_reduced=True, but every
-    statement refuses shards < 1.  An n_max below the statement's floor
-    leaves no order to check and raises DomainError."""
+    or at the single order n.  `shards` applies to the scans over Z_n
+    only, but every statement refuses shards < 1.  An n_max below the
+    statement's floor leaves no order to check and raises DomainError."""
     check, floor, cap, _ = STATEMENTS[statement]
     if shards < 1:
         raise DomainError(f"{statement} needs shards >= 1, got {shards}")
@@ -872,13 +861,12 @@ def verify_statement(
     orders = range(floor, top + 1) if n is None else [n]
     if statement == "sumset-growth":
         return [check(AbelianGroup((m,)), budget=budget) for m in orders]
-    return [check(m, orbit_reduced=orbit_reduced, shards=shards, budget=budget) for m in orders]
+    return [check(m, shards=shards, budget=budget) for m in orders]
 
 
 def verify_all(
     n_max: int,
     *,
-    orbit_reduced: bool = False,
     shards: int = 1,
     budget: int | None = None,
 ) -> list[VerificationReport]:
@@ -893,7 +881,5 @@ def verify_all(
     return [
         report
         for statement in STATEMENTS
-        for report in verify_statement(
-            statement, n_max, orbit_reduced=orbit_reduced, shards=shards, budget=budget
-        )
+        for report in verify_statement(statement, n_max, shards=shards, budget=budget)
     ]

@@ -263,11 +263,11 @@ def test_criterion_10_shard_determinism():
 
 # sha256 of reports_to_json(_bundle11(1), include_elapsed=False), that is
 # verify_all(11) with the Davenport table at order 16; a change here needs
-# a stated reason, not just a new digest.  It last changed when orbit
-# reduction left the scans over Z_n: every report now reads orbit_reduced
-# false and canonical_instances equal to instances_checked, which is the
-# document orbit_reduced=False gave before, byte for byte.
-BUNDLE11_SHA256 = "b94942e643b71e5b564539b5c8d8c7da4ece8e6b2d3c75e7608f760e05af9816"
+# a stated reason, not just a new digest.  It last changed when the dead
+# orbit surface left the reports: no report carries orbit_reduced, and no
+# sum-set report carries details.canonical_instances.  The document is the
+# one before with those two keys deleted, byte for byte once re-serialised.
+BUNDLE11_SHA256 = "18bff0f0d6dc2a5ad56703a3946e8eb4b92340bc0cf2c8d09e11e8768873196d"
 
 
 def test_bundle11_json_matches_recorded_digest():

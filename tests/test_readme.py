@@ -1,22 +1,25 @@
 """README states the package's limits as "`module.NAME` = value"; each
 must be the value the code uses, so a documented limit cannot drift.
 Each `$ zerosum ...` transcript that shows output must be what the CLI
-prints, elapsed times aside."""
+prints, elapsed times aside, and the stated `verify_all(...)` signature
+must name the parameters and defaults of the code's."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from zerosum import cli
+from zerosum import cli, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 STATED = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)`\s+=\s+(\d[\d,]*(?:\^\d+)?)")
 ELAPSED = re.compile(r"elapsed=\d+ms")
+SIGNATURE = re.compile(r"`verify_all(\(.*?\))`", re.S)
 
 
 def _transcripts() -> list[tuple[str, str]]:
@@ -61,3 +64,14 @@ def test_readme_transcripts_match_the_cli(capsys, command, shown):
     cli.main(shlex.split(command))
     printed = capsys.readouterr().out
     assert ELAPSED.sub("elapsed=…ms", printed) == ELAPSED.sub("elapsed=…ms", shown)
+
+
+def _parameters(fn) -> list[tuple]:
+    return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+
+def test_readme_signature_matches_the_code():
+    (stated,) = SIGNATURE.findall(README.read_text())
+    namespace: dict = {}
+    exec(f"def verify_all{' '.join(stated.split())}: pass", namespace)
+    assert _parameters(namespace["verify_all"]) == _parameters(verify.verify_all), stated

@@ -7,13 +7,14 @@ import ast
 import inspect
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb, prod
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ def test_support_bound_frozen_numbers_n6():
     assert r.statement_id == "support-bound"
     assert r.parameters == {"n": 6}
     assert r.instances_checked == 462 == comb(11, 6)
-    assert r.orbit_reduced is False
+    assert not hasattr(r, "orbit_reduced") and "orbit_reduced" not in r.to_dict()
     assert r.details["canonical_instances"] == 462
     assert r.details["slices"] == {
         "min-length-n-minus-1": {"instances": 2, "violations": 0},
@@ -54,15 +55,15 @@ def test_support_bound_frozen_numbers_n6():
 
 
 def test_instances_counted_in_raw_space_with_and_without_orbit():
-    # every scan is raw: orbit_reduced=False is the default, and the
-    # report counts each multiset once
+    # every scan is raw: verify_thm_main's orbit_reduced=False is the
+    # default, and the report counts each multiset once
     for n in range(2, 9):
         default = verify.verify_thm_main(n)
         verify.clear_caches()
         off = verify.verify_thm_main(n, orbit_reduced=False)
         assert default.to_dict(include_elapsed=False) == off.to_dict(include_elapsed=False)
         assert off.instances_checked == off.details["canonical_instances"] == comb(2 * n - 1, n)
-        assert off.passed and off.orbit_reduced is False
+        assert off.passed and "orbit_reduced" not in off.to_dict()
         with pytest.raises(DomainError, match="orbit reduction is gone"):
             verify.verify_thm_main(n, orbit_reduced=True)
 
@@ -364,10 +365,8 @@ def test_import_and_small_scans_skip_pool_machinery():
         "    loaded.append('concurrent.futures' in sys.modules)\n"
         "print(loaded)\n"
     )
-    src = str(Path(zerosum.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120
-    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zerosum.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, False, False, True]"
 
@@ -396,6 +395,41 @@ def test_extremal_realized_s_within_predicted_range():
         assert "1" in r.details["realized_s"]
 
 
+def test_slice_counts_match_their_closed_forms():
+    """The length-n reports' slice counts at n = 6..18, against closed forms.
+
+    Savchev and Chen (Discrete Math. 307, 2007): a zero-sum free sequence
+    over Z_n of length l > n/2 is (x_1 g)...(x_l g) for a generator g and
+    positive integers x_i with x_1 + ... + x_l < n.  At minimal zero-sum
+    length m, every m - 1 entries of S are zero-sum free, so:
+      - m = n: each n - 1 entries are g^(n-1), and S = g^n with ord g = n.
+      - m = n-1 (n >= 5): each n - 2 entries are g^(n-2) or g^(n-3)(2g),
+        and S = a^(n-1)(2a) with ord a = n: a^(n-2)(2a)^2 holds the
+        zero-sum a^(n-4)(2a)^2 of length n - 2, and a^n has m = n.
+      - m = n-2 (n >= 7): each n - 3 entries exceed all ones by at most 2,
+        and S = a^(n-1)(3a) or a^(n-2)(2a)^2 with ord a = n; every other
+        excess of 2 or more, such as a^(n-3)(2a)^3 or a^(n-2)(2a)(3a),
+        holds a zero-sum of length n - 3.  At n = 6, where n - 3 = n/2,
+        the count still holds.  An enumeration of every multiset agrees
+        at n = 6..12.
+    a is the entry of top multiplicity, so each family has phi(n) members,
+    and the two m = n-2 families share none.
+    The tight supports (supp = s + 1 at m = n - s) are these families for
+    s = 0 and 1; at s = n - 2 (m = 2, so no zero entry, and n - 1
+    distinct values) every nonzero residue plus one repeat, n - 1 of
+    them; at s = n - 1 (m = 1, n distinct values) 0..n-1 alone.  n <= 5
+    differs: at n = 5 the n - 2 slice holds 12, not 8.
+    """
+    for n in range(6, 19):
+        phi = sum(1 for a in range(1, n) if gcd(a, n) == 1)
+        slices = verify.verify_thm_main(n).details["slices"]
+        assert verify.verify_prop_all_equal(n).details["matching_instances"] == phi, n
+        assert slices["min-length-n-minus-1"]["instances"] == phi, n
+        assert slices["min-length-n-minus-2"]["instances"] == 2 * phi, n
+        realized = verify.verify_extremal_structure(n).details["realized_s"]
+        assert realized == {"0": phi, "1": phi, str(n - 2): n - 1, str(n - 1): 1}, n
+
+
 def test_short_zero_sum_bound_family():
     for n in range(1, 9):
         r = verify.verify_corollary_short_zero_sum(n)
@@ -413,7 +447,7 @@ def test_sumset_growth_frozen_z10():
 def test_sumset_growth_noncyclic_group_runs_raw():
     r = verify.verify_sumset_lemmas(AbelianGroup((2, 2)), k_max=4)
     assert r.passed
-    assert r.orbit_reduced is False
+    assert "orbit_reduced" not in r.to_dict() and "canonical_instances" not in r.details
     # the scan has no orbit reduction to ask for, for any group
     for factors in ((2, 2), (6,)):
         with pytest.raises(TypeError):
@@ -463,7 +497,8 @@ def test_sumset_growth_counts_every_zero_sum_free_multiset(factors, k_max):
     )
     r = verify.verify_sumset_lemmas(group, k_max)
     assert r.passed
-    assert r.instances_checked == r.details["canonical_instances"] == expect
+    assert r.instances_checked == expect
+    assert "canonical_instances" not in r.details
 
 
 def test_egz_frozen_numbers():
@@ -630,23 +665,27 @@ def test_shard_counts_agree_byte_for_byte(monkeypatch):
 
 
 def test_orbit_toggle_does_not_change_findings():
-    # orbit reduction is gone: the keyword stays, defaults to False, and
-    # True is refused by every scan over Z_n, before any scan runs
+    # orbit reduction is gone: only verify_thm_main keeps the keyword, for
+    # zsbench's probe; it defaults to False and True is refused before any
+    # scan runs.  Every other checker, verify_statement and verify_all
+    # refuse the keyword as an unknown argument
+    assert inspect.signature(verify.verify_thm_main).parameters["orbit_reduced"].default is False
+    with pytest.raises(DomainError, match="orbit reduction is gone"):
+        verify.verify_thm_main(4, orbit_reduced=True)
     for check in (
-        verify.verify_thm_main,
         verify.verify_prop_all_equal,
         verify.verify_extremal_structure,
         verify.verify_corollary_short_zero_sum,
         verify.verify_egz,
     ):
-        assert inspect.signature(check).parameters["orbit_reduced"].default is False
-        with pytest.raises(DomainError, match="orbit reduction is gone"):
+        assert "orbit_reduced" not in inspect.signature(check).parameters
+        with pytest.raises(TypeError):
             check(4, orbit_reduced=True)
     for run in (
         lambda: verify.verify_all(6, orbit_reduced=True),
         lambda: verify.verify_statement("egz", 6, orbit_reduced=True),
     ):
-        with pytest.raises(DomainError, match="orbit reduction is gone"):
+        with pytest.raises(TypeError):
             run()
     assert verify._scan_cache == {}
 
@@ -937,7 +976,7 @@ def test_benchmark_probes_find_what_they_read():
     # verify.orbit_speedup.n12 probe looks for the orbit_reduced keyword,
     # and its verify.canonical_ratio.* metrics read
     # details["canonical_instances"]; a result line without them carries
-    # a null metric.  The benchmark change of ROADMAP item 4 drops those
+    # a null metric.  The benchmark change of ROADMAP item 1 drops those
     # probes, and with them the keyword and this test
     assert "orbit_reduced" in inspect.signature(verify.verify_thm_main).parameters
     zn = {"support-bound", "full-length-constant", "extremal-structure", "short-zero-sum", "egz"}
