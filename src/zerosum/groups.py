@@ -86,7 +86,7 @@ class AbelianGroup:
     def __post_init__(self) -> None:
         if not self.factors:
             raise DomainError("group needs at least one cyclic factor")
-        if any(not isinstance(n, int) or n < 1 for n in self.factors):
+        if any(type(n) is not int or n < 1 for n in self.factors):
             raise DomainError("factor orders must be positive integers")
 
     @property
@@ -321,59 +321,22 @@ def groups_of_order(m: int) -> list[AbelianGroup]:
     """All abelian groups of order m, one per isomorphism type.
 
     Each type is presented in invariant-factor form d_1 | d_2 | ... | d_k
-    (so Z6 appears as Z6, never as Z2xZ3).  Types are enumerated by
-    choosing a partition of the exponent of each prime dividing m.
+    with d_1 > 1 (so Z6 appears as Z6, never as Z2xZ3), or as Z1 at
+    m = 1; by the structure theorem these chains with product m are
+    exactly the types.  They come sorted by rank, then factors.
     """
     if m < 1:
         raise DomainError("group order must be positive")
-    if m == 1:
-        return [AbelianGroup((1,))]
-    prime_exponents = _prime_factorisation(m)
-    per_prime: list[list[list[int]]] = []
-    for p, a in prime_exponents:
-        per_prime.append([[p**e for e in part] for part in _partitions(a)])
-    out = []
-    for choice in _cartesian(*per_prime):
-        # align the largest prime powers across primes to build the
-        # largest invariant factor, then the next largest, and so on
-        depth = max(len(powers) for powers in choice)
-        invariant = []
-        for i in range(depth):
-            d = 1
-            for powers in choice:
-                if i < len(powers):
-                    d *= powers[i]
-            invariant.append(d)
-        out.append(AbelianGroup(tuple(sorted(invariant))))
-    out.sort(key=lambda g: (g.rank, g.factors))
-    return out
 
+    def chains(rest: int, low: int) -> Iterator[tuple[int, ...]]:
+        # chains of multiples of low with product rest, where low divides
+        # rest: either (rest,) alone, or a smallest factor d that leaves a
+        # chain of multiples of d with product rest // d, so d * d | rest
+        yield (rest,)
+        for d in range(max(low, 2), math.isqrt(rest) + 1, low):
+            if rest % (d * d) == 0:
+                for tail in chains(rest // d, d):
+                    yield (d, *tail)
 
-def _prime_factorisation(m: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            out.append((p, a))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
-def _partitions(a: int) -> Iterator[list[int]]:
-    """Partitions of a as non-increasing exponent lists."""
-
-    def rec(remaining: int, cap: int) -> Iterator[list[int]]:
-        if remaining == 0:
-            yield []
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield [first] + rest
-
-    return rec(a, a)
+    # a non-int m is refused by AbelianGroup on the first chain, (m,)
+    return sorted(map(AbelianGroup, chains(m, 1)), key=lambda g: (g.rank, g.factors))

@@ -50,7 +50,7 @@ class QuadOrder:
     d: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
+        if type(self.d) is not int or self.d < 1:
             raise DomainError("d must be a positive integer")
         if not _is_squarefree(self.d):
             raise DomainError(f"d must be squarefree, got {self.d}")

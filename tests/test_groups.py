@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,8 +129,10 @@ def test_bad_group_input_is_a_package_error():
     for call in (
         lambda: AbelianGroup((0,)),
         lambda: AbelianGroup(()),
+        lambda: AbelianGroup((True, 2)),
         lambda: ZSequence(Z6, ((2,), (1,))),
         lambda: groups_of_order(0),
+        lambda: groups_of_order(2.0),
     ):
         with pytest.raises(ZerosumError) as info:
             call()
@@ -227,6 +231,29 @@ def test_groups_of_order_invariant_factors():
     assert [g.factors for g in groups_of_order(12)] == [(12,), (2, 6)]
     assert len(groups_of_order(16)) == 5
     assert [g.factors for g in groups_of_order(36)] == [(36,), (2, 18), (3, 12), (6, 6)]
-    for m in range(1, 20):
-        for g in groups_of_order(m):
-            assert g.order == m
+    # every m <= 3000, against the structure theorem and no groups code:
+    # each type is a chain 1 < d_1 | ... | d_k with product m (Z1 alone at
+    # m = 1), the list is sorted by (rank, factors) with no repeats, and
+    # it has p(a_1) * ... * p(a_r) entries for m = p_1^a_1 * ... * p_r^a_r,
+    # p the partition function
+    partitions = [1] + [0] * 11  # p(0..11); 2^12 > 3000
+    for part in range(1, 12):
+        for a in range(part, 12):
+            partitions[a] += partitions[a - part]
+    assert partitions[11] == 56
+    for m in range(1, 3001):
+        types = [g.factors for g in groups_of_order(m)]
+        assert types == sorted(set(types), key=lambda f: (len(f), f))
+        for f in types:
+            assert math.prod(f) == m
+            assert (f == (1,)) if m == 1 else (f[0] > 1)
+            assert all(b % a == 0 for a, b in zip(f, f[1:]))
+        count, rest, p = 1, m, 2
+        while rest > 1:
+            a = 0
+            while rest % p == 0:
+                rest //= p
+                a += 1
+            count *= partitions[a]
+            p += 1
+        assert len(types) == count

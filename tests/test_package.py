@@ -1,9 +1,11 @@
 """The package surface: every public name is importable from `zerosum`,
-each entry point loads only the submodules it runs, and the record
-classes behave as the dataclasses they replaced did."""
+each entry point loads only the submodules it runs, the record classes
+behave as the dataclasses they replaced did, and every function in the
+package has a caller there."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -270,3 +272,29 @@ def test_sum_set_caches_its_lookup_table_in_its_dict():
     # the cache is no field: equality and repr ignore it
     assert ss == sums.SumSet(ss.group, ss.lengths)
     assert "_by_value" not in repr(ss)
+
+
+def test_every_module_level_function_has_a_caller_in_src():
+    # a function counts as called when a statement of src/ other than its
+    # own def loads its name, bare or as an attribute; imports and the
+    # `_EXPORTS` strings do not count, so a helper that only tests use
+    # shows up here.  Exempt: the PEP 562 module hooks, which Python
+    # calls, and `verify.clear_caches`, which is public API for callers
+    # that want a scan recomputed
+    exempt = {("__init__", "__getattr__"), ("__init__", "__dir__"), ("verify", "clear_caches")}
+    defined, loads = [], []
+    for path in sorted(Path(zerosum.__file__).resolve().parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((path.stem, stmt.name, stmt))
+            loads.append((stmt, {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            }))
+    uncalled = {
+        (module, name)
+        for module, name, stmt in defined
+        if not any(name in names for other, names in loads if other is not stmt)
+    }
+    assert uncalled == exempt

@@ -59,7 +59,7 @@ def test_order_construction_and_discriminants():
     assert quad.QuadOrder(1).discriminant == -4
     assert quad.QuadOrder(3).discriminant == -3
     assert str(O26) == "Q(sqrt(-26))"
-    for bad in (0, -5, 4, 12, 18, 25):
+    for bad in (0, -5, 4, 12, 18, 25, True):
         with pytest.raises(DomainError):
             quad.QuadOrder(bad)
 
@@ -275,6 +275,8 @@ def test_class_group_structures_cyclic_and_not():
     assert quad.class_group(quad.QuadOrder(21)).structure == (2, 2)
     assert not quad.class_group(quad.QuadOrder(21)).is_cyclic
     assert quad.class_group(quad.QuadOrder(21)).generator_index is None
+    with pytest.raises(StructureError, match="not cyclic"):
+        quad.class_group(quad.QuadOrder(21)).generator
     assert quad.class_group(quad.QuadOrder(30)).structure == (2, 2)
     assert quad.class_group(quad.QuadOrder(89)).order_h == 12
 

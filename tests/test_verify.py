@@ -475,6 +475,9 @@ def test_sumset_growth_refuses_by_its_multiset_count():
     assert verify.verify_sumset_lemmas(z10, 6, budget=5_004).passed
     with pytest.raises(BudgetExceededError, match="over budget 5003"):
         verify.verify_sumset_lemmas(z10, 6, budget=5_003)
+    # and no k_max below 1 is admitted, whatever the budget
+    with pytest.raises(DomainError, match="k_max >= 1, got 0"):
+        verify.verify_sumset_lemmas(AbelianGroup((4,)), 0)
     # the count is bounded as it grows, not summed in full: adding up
     # 40,000 binomials at Z1000 took 6.4 s
     t0 = time.perf_counter()
